@@ -1,17 +1,14 @@
 //! Naive-vs-blocked dense matmul throughput, written to
 //! `results/BENCH_matmul.json`.
 //!
-//! Usage: `cargo run --release -p bench --bin matmul
-//!         [--threads N] [--assert-min-ratio R]`
+//! Usage: `cargo run --release -p bench --bin matmul [--assert-min-ratio R]`
 //!
 //! For each GEMM variant (`matmul`, `matmul_tn`, `matmul_nt`) and each
-//! square size, three GFLOP/s figures are reported:
+//! square size, two single-threaded GFLOP/s figures are reported:
 //!
 //! * `naive` — the retained scalar i-k-j reference in `cpgan_nn::kernels`,
-//! * `blocked_serial` — the cache-blocked microkernels pinned to 1 thread
-//!   (the apples-to-apples comparison the CI gate reads),
-//! * `blocked_parallel` — the same kernels at `N` threads (informational;
-//!   on a 1-core box this measures overhead, not scaling).
+//! * `blocked_serial` — the cache-blocked microkernels behind
+//!   `Matrix::matmul*` (the dense kernels run on the calling thread only).
 //!
 //! `--assert-min-ratio R` exits nonzero unless
 //! `blocked_serial / naive >= R` for `matmul` at 256x256x256 — the CI
@@ -19,7 +16,6 @@
 
 use bench::BenchMeta;
 use cpgan_nn::{kernels, Matrix};
-use cpgan_parallel::with_thread_count;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -33,26 +29,22 @@ fn time_once<R>(f: impl Fn() -> R) -> f64 {
     start.elapsed().as_secs_f64()
 }
 
-/// Best-of-`reps` seconds for each of three kernels, with the reps
-/// *interleaved* (naive, blocked-serial, blocked-parallel, repeat) so CPU
-/// frequency drift on a busy box hits all three legs alike instead of
-/// skewing whichever ran last.
+/// Best-of-`reps` seconds for both kernels, with the reps *interleaved*
+/// (naive, blocked, repeat) so CPU frequency drift on a busy box hits both
+/// legs alike instead of skewing whichever ran last.
 fn best_of_interleaved<R>(
     reps: usize,
     naive: impl Fn() -> R,
-    serial: impl Fn() -> R,
-    parallel: impl Fn() -> R,
-) -> (f64, f64, f64) {
+    blocked: impl Fn() -> R,
+) -> (f64, f64) {
     // Untimed warm-up: first-touch page faults and pool priming land here,
     // not in the first timed rep.
     std::hint::black_box(naive());
-    std::hint::black_box(serial());
-    std::hint::black_box(parallel());
-    let mut best = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    std::hint::black_box(blocked());
+    let mut best = (f64::INFINITY, f64::INFINITY);
     for _ in 0..reps.max(1) {
         best.0 = best.0.min(time_once(&naive));
-        best.1 = best.1.min(time_once(&serial));
-        best.2 = best.2.min(time_once(&parallel));
+        best.1 = best.1.min(time_once(&blocked));
     }
     best
 }
@@ -68,7 +60,6 @@ struct Row {
     size: usize,
     naive: f64,
     blocked_serial: f64,
-    blocked_parallel: f64,
 }
 
 fn main() {
@@ -78,16 +69,9 @@ fn main() {
             .position(|a| a == name)
             .and_then(|i| args.get(i + 1))
     };
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads = flag("--threads")
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(hw)
-        .max(1);
     let min_ratio = flag("--assert-min-ratio").and_then(|v| v.parse::<f64>().ok());
-    let meta = BenchMeta::capture(threads);
-    eprintln!("dense matmul: naive vs blocked, serial + {threads} thread(s)...");
+    let meta = BenchMeta::capture(1);
+    eprintln!("dense matmul: naive vs blocked, one thread...");
 
     let mut rows = Vec::new();
     for &s in SIZES {
@@ -126,18 +110,11 @@ fn main() {
             ),
         ];
         for (kernel, naive_f, blocked_f) in &variants {
-            let (t_naive, t_serial, t_parallel) = best_of_interleaved(
-                reps,
-                naive_f,
-                || with_thread_count(1, blocked_f),
-                || with_thread_count(threads, blocked_f),
-            );
+            let (t_naive, t_serial) = best_of_interleaved(reps, naive_f, blocked_f);
             let naive = flops / t_naive.max(1e-12) / 1e9;
             let blocked_serial = flops / t_serial.max(1e-12) / 1e9;
-            let blocked_parallel = flops / t_parallel.max(1e-12) / 1e9;
             eprintln!(
-                "{kernel:>10} {s:>4}: naive {naive:7.3}  blocked(1T) {blocked_serial:7.3}  \
-                 blocked({threads}T) {blocked_parallel:7.3} GFLOP/s  \
+                "{kernel:>10} {s:>4}: naive {naive:7.3}  blocked {blocked_serial:7.3} GFLOP/s  \
                  ratio {:.2}x",
                 blocked_serial / naive.max(1e-12)
             );
@@ -146,7 +123,6 @@ fn main() {
                 size: s,
                 naive,
                 blocked_serial,
-                blocked_parallel,
             });
         }
     }
@@ -160,13 +136,11 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"kernel\": \"{}\", \"size\": {}, \"naive_gflops\": {:.4}, \
-             \"blocked_serial_gflops\": {:.4}, \"blocked_parallel_gflops\": {:.4}, \
-             \"serial_ratio\": {:.3}}}{comma}",
+             \"blocked_serial_gflops\": {:.4}, \"serial_ratio\": {:.3}}}{comma}",
             r.kernel,
             r.size,
             r.naive,
             r.blocked_serial,
-            r.blocked_parallel,
             r.blocked_serial / r.naive.max(1e-12),
         );
     }

@@ -1,5 +1,6 @@
-//! Serial-vs-parallel wall-clock for the hot kernels wired onto the
-//! cpgan-parallel runtime, written to `results/BENCH_parallel.json`.
+//! Serial-vs-parallel wall-clock for the graph statistics that run on the
+//! cpgan-parallel scoped tier (local clustering and the CPL BFS fan-out),
+//! written to `results/BENCH_parallel.json`.
 //!
 //! Usage: `cargo run --release -p bench --bin parallel [--threads N]`
 //!
@@ -9,8 +10,7 @@
 //! produce bit-identical values — only the wall-clock differs.
 
 use bench::BenchMeta;
-use cpgan_graph::{mmd, spectral, stats::clustering, stats::path, Graph};
-use cpgan_nn::{Csr, Matrix};
+use cpgan_graph::{stats::clustering, stats::path, Graph};
 use cpgan_parallel::with_thread_count;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -37,12 +37,6 @@ fn bench_graph(n: u32) -> Graph {
     Graph::from_edges(n as usize, edges).unwrap_or_else(|e| {
         eprintln!("bench graph construction failed: {e}");
         std::process::exit(1);
-    })
-}
-
-fn seed_matrix(rows: usize, cols: usize, offset: f32) -> Matrix {
-    Matrix::from_fn(rows, cols, |r, c| {
-        ((r * cols + c) as f32 * 0.37 + offset).sin()
     })
 }
 
@@ -82,54 +76,20 @@ fn main() {
     }
     eprintln!("benchmarking kernels at 1 vs {threads} thread(s) ({hw} cores visible)...");
 
-    let mm_a = seed_matrix(448, 448, 0.1);
-    let mm_b = seed_matrix(448, 448, 0.7);
     let g_big = bench_graph(60_000);
     let g_mid = bench_graph(4_000);
-    let csr = Csr::normalized_adjacency(&bench_graph(20_000));
-    let feats = seed_matrix(20_000, 64, 0.3);
-    let hists_a: Vec<Vec<f64>> = (0..128)
-        .map(|i| mmd::clustering_histogram_normalized(&bench_graph(300 + 11 * i)))
-        .collect();
-    let hists_b: Vec<Vec<f64>> = (0..128)
-        .map(|i| mmd::clustering_histogram_normalized(&bench_graph(310 + 13 * i)))
-        .collect();
 
     let kernels: Vec<(&str, Kernel)> = vec![
-        (
-            "matmul",
-            Box::new(move || {
-                std::hint::black_box(mm_a.matmul(&mm_b));
-            }),
-        ),
-        (
-            "mmd",
-            Box::new(move || {
-                std::hint::black_box(mmd::mmd_squared(&hists_a, &hists_b, 1.0));
-            }),
-        ),
         (
             "clustering",
             Box::new(move || {
                 std::hint::black_box(clustering::local_clustering(&g_big));
             }),
         ),
-        ("cpl", {
-            let g = g_mid.clone();
-            Box::new(move || {
-                std::hint::black_box(path::characteristic_path_length(&g, 128));
-            })
-        }),
         (
-            "spmm",
+            "cpl",
             Box::new(move || {
-                std::hint::black_box(csr.matmul_dense(&feats));
-            }),
-        ),
-        (
-            "spectral",
-            Box::new(move || {
-                std::hint::black_box(spectral::spectral_embedding(&g_mid, 8, 7));
+                std::hint::black_box(path::characteristic_path_length(&g_mid, 128));
             }),
         ),
     ];

@@ -252,9 +252,6 @@ fn run_scenario(sc: &Scenario, model: &CpGan, window: Duration) -> ScenarioRow {
             // box is pathologically slow.
             deadline_ms: 30_000,
             cache_bytes: sc.cache_bytes,
-            // Keep each generation serial: the pool threads are the
-            // *clients* here, and client concurrency is what is measured.
-            gen_threads: Some(1),
             ..ServeConfig::default()
         },
         registry,

@@ -1,8 +1,7 @@
 //! Fused+batched vs unfused+unbatched subgraph training throughput,
 //! written to `results/BENCH_train.json`.
 //!
-//! Usage: `cargo run --release -p bench --bin train
-//!         [--threads N] [--assert-min-ratio R]`
+//! Usage: `cargo run --release -p bench --bin train [--assert-min-ratio R]`
 //!
 //! Both legs train the same two-layer GCN autoencoder on the same seeded
 //! stream of degree-proportional subgraph draws (DESIGN §13), so the work
@@ -14,9 +13,8 @@
 //! * `fused` — the whole batch packed into one `BlockDiagCsr` and pushed
 //!   through the fused `spmm_bias_act` op, one optimizer step per batch.
 //!
-//! Epochs/second are reported for both legs pinned to 1 thread (the
-//! apples-to-apples figure the CI gate reads) plus the fused leg at `N`
-//! threads (informational). `--assert-min-ratio R` exits nonzero unless
+//! Epochs/second are reported for both legs; the nn kernels they run are
+//! single-threaded. `--assert-min-ratio R` exits nonzero unless
 //! `fused_serial / unfused_serial >= R` — the CI regression gate for the
 //! fusion/batching work.
 
@@ -26,7 +24,6 @@ use cpgan_graph::sampling::SubgraphSampler;
 use cpgan_nn::layers::Linear;
 use cpgan_nn::optim::{Adam, Optimizer};
 use cpgan_nn::{Csr, FusedAct, Matrix, ParamStore, Tape, Var};
-use cpgan_parallel::with_thread_count;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
@@ -149,37 +146,15 @@ fn time_once(f: impl FnOnce()) -> f64 {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let flag_threads = flag("--threads").and_then(|v| v.parse::<usize>().ok());
-    // Same single-core convention as the parallel bench: the parallel leg is
-    // informational, so force an oversubscribed count and flag it rather
-    // than silently re-measuring the serial figure.
-    let (threads, warning) = match flag_threads {
-        Some(t) => (t.max(1), None),
-        None if hw > 1 => (hw, None),
-        None => (
-            4,
-            Some(
-                "available_parallelism() == 1: fused parallel leg forced to 4 \
-                 oversubscribed threads; its figure measures overhead, not scaling",
-            ),
-        ),
-    };
-    let min_ratio = flag("--assert-min-ratio").and_then(|v| v.parse::<f64>().ok());
-    let meta = BenchMeta::capture(threads);
-    if let Some(w) = warning {
-        eprintln!("WARNING: {w}");
-    }
+    let min_ratio = args
+        .iter()
+        .position(|a| a == "--assert-min-ratio")
+        .and_then(|i| args.get(i + 1))
+        .and_then(|v| v.parse::<f64>().ok());
+    let meta = BenchMeta::capture(1);
     eprintln!(
         "subgraph training: unfused/unbatched vs fused/batched, \
-         {BATCH_SIZE}x{SAMPLE_SIZE}-node subgraphs, serial + {threads} thread(s)..."
+         {BATCH_SIZE}x{SAMPLE_SIZE}-node subgraphs..."
     );
 
     let (g, _) = common::two_block_fixture(BLOCK);
@@ -188,55 +163,32 @@ fn main() {
     // buffers or moments; both start from identical seeded weights.
     let m_unfused = Model::new(7);
     let m_fused = Model::new(7);
-    let m_fused_par = Model::new(7);
     let mut opt_unfused = Adam::with_lr(5e-3);
     let mut opt_fused = Adam::with_lr(5e-3);
-    let mut opt_fused_par = Adam::with_lr(5e-3);
 
     // Untimed warm-up primes buffer pools and Adam state.
-    with_thread_count(1, || run_unfused(&g, &feats, &m_unfused, &mut opt_unfused));
-    with_thread_count(1, || run_fused(&g, &feats, &m_fused, &mut opt_fused));
+    run_unfused(&g, &feats, &m_unfused, &mut opt_unfused);
+    run_fused(&g, &feats, &m_fused, &mut opt_fused);
 
-    // Interleaved best-of for the two *serial* legs only: frequency drift on
-    // a busy box hits both alike, and keeping the oversubscribed parallel
-    // leg out of the rotation stops its worker churn from perturbing the
-    // serial timings the gate reads.
-    let mut best = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    // Interleaved best-of: frequency drift on a busy box hits both legs
+    // alike.
+    let mut best = (f64::INFINITY, f64::INFINITY);
     for _ in 0..REPS {
         best.0 = best.0.min(time_once(|| {
-            with_thread_count(1, || run_unfused(&g, &feats, &m_unfused, &mut opt_unfused));
+            run_unfused(&g, &feats, &m_unfused, &mut opt_unfused);
         }));
         best.1 = best.1.min(time_once(|| {
-            with_thread_count(1, || run_fused(&g, &feats, &m_fused, &mut opt_fused));
-        }));
-    }
-    with_thread_count(threads, || {
-        run_fused(&g, &feats, &m_fused_par, &mut opt_fused_par)
-    });
-    for _ in 0..REPS {
-        best.2 = best.2.min(time_once(|| {
-            with_thread_count(threads, || {
-                run_fused(&g, &feats, &m_fused_par, &mut opt_fused_par)
-            });
+            run_fused(&g, &feats, &m_fused, &mut opt_fused);
         }));
     }
     let eps = |t: f64| EPOCHS_PER_REP as f64 / t.max(1e-12);
-    let (unfused_eps, fused_eps, fused_par_eps) = (eps(best.0), eps(best.1), eps(best.2));
+    let (unfused_eps, fused_eps) = (eps(best.0), eps(best.1));
     let ratio = fused_eps / unfused_eps.max(1e-12);
-    eprintln!(
-        "unfused(1T) {unfused_eps:7.2}  fused(1T) {fused_eps:7.2}  \
-         fused({threads}T) {fused_par_eps:7.2} epochs/s  ratio {ratio:.2}x"
-    );
+    eprintln!("unfused {unfused_eps:7.2}  fused {fused_eps:7.2} epochs/s  ratio {ratio:.2}x");
 
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str(&meta.json_fields("  "));
-    match warning {
-        Some(w) => {
-            let _ = writeln!(json, "  \"warning\": \"{w}\",");
-        }
-        None => json.push_str("  \"warning\": null,\n"),
-    }
     let _ = writeln!(
         json,
         "  \"config\": {{\"nodes\": {}, \"sample_size\": {SAMPLE_SIZE}, \
@@ -249,7 +201,6 @@ fn main() {
         json,
         "  \"train\": {{\"unfused_serial_eps\": {unfused_eps:.4}, \
          \"fused_serial_eps\": {fused_eps:.4}, \
-         \"fused_parallel_eps\": {fused_par_eps:.4}, \
          \"fused_vs_unfused_ratio\": {ratio:.3}}}"
     );
     json.push_str("}\n");

@@ -54,8 +54,8 @@ fn usage() -> &'static str {
      | ingest <name> --output <edge-list>   (all: [--data-dir DIR] [--offline];\n                 \
      synthetic entries: [--scale S] [--seed S]; see DESIGN.md \u{a7}15)\n\n\
      any subcommand also accepts:\n  \
-     --threads N     worker threads for parallel kernels (same as CPGAN_THREADS=N;\n                  \
-     for serve: threads per in-flight generation, see DESIGN.md \u{a7}11)\n  \
+     --threads N     worker threads for parallel code (same as CPGAN_THREADS=N;\n                  \
+     not serve, which sizes its pool with --workers)\n  \
      --obs-out PATH  write observability JSONL there and print a summary tree\n                  \
      (see DESIGN.md \u{a7}9)"
 }
@@ -77,10 +77,13 @@ fn run(argv: &[String]) -> Result<(), String> {
     }
     // `--threads N` pins the deterministic parallel runtime's thread count
     // for this invocation (equivalent to CPGAN_THREADS=N; results are
-    // bit-identical at any setting). `serve` routes it through its own
-    // per-worker generation budget instead, so the override is applied to
-    // worker threads rather than this (main) thread.
+    // bit-identical at any setting). Serve generations reach no parallel
+    // code, so there it would only resize the default worker pool, which
+    // `--workers` owns.
     let threads = args.get_usize("threads")?;
+    if threads.is_some() && cmd == "serve" {
+        return Err("--threads does not apply to serve; use --workers".to_string());
+    }
     let dispatch = || match cmd.as_str() {
         "fit" => fit(&args),
         "generate" => generate(&args),
@@ -91,8 +94,8 @@ fn run(argv: &[String]) -> Result<(), String> {
         other => Err(format!("unknown subcommand '{other}'")),
     };
     let result = match threads {
-        Some(n) if cmd != "serve" => cpgan_parallel::with_thread_count(n, dispatch),
-        _ => dispatch(),
+        Some(n) => cpgan_parallel::with_thread_count(n, dispatch),
+        None => dispatch(),
     };
     // Flush even on error so partial runs still leave telemetry behind.
     cpgan_obs::finish(obs_out.as_deref());
@@ -177,7 +180,6 @@ fn serve(args: &Args) -> Result<(), String> {
         workers: args.get_usize("workers")?.unwrap_or(0),
         queue_depth: args.get_usize("queue-depth")?.unwrap_or(64),
         deadline_ms: args.get_u64("deadline-ms")?.unwrap_or(5_000),
-        gen_threads: args.get_usize("threads")?,
         idle_ms: args.get_u64("idle-ms")?.unwrap_or(5_000),
         // `--cache-mb 0` disables the generation cache entirely.
         cache_bytes: args.get_usize("cache-mb")?.unwrap_or(16) * 1024 * 1024,

@@ -140,3 +140,14 @@ fn missing_flag_reports_which() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--model"), "{stderr}");
 }
+
+#[test]
+fn serve_rejects_threads() {
+    let out = Command::new(bin())
+        .args(["serve", "--model", "nope.json", "--threads", "2"])
+        .output()
+        .expect("run cpgan serve --threads");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--workers"), "{stderr}");
+}

@@ -50,29 +50,25 @@ pub fn mmd_squared(xs: &[Vec<f64>], ys: &[Vec<f64>], sigma: f64) -> f64 {
 pub fn mmd_squared_scaled(xs: &[Vec<f64>], ys: &[Vec<f64>], sigma: f64, bin_width: f64) -> f64 {
     let _span = cpgan_obs::span("graph.mmd");
     cpgan_obs::hist_record("graph.mmd.pairs", (xs.len() * ys.len()) as f64);
-    /// Rows of `a` per parallel chunk of the kernel-matrix sum. Fixed (not
-    /// thread-dependent) so partial sums combine identically at every
-    /// `CPGAN_THREADS` setting.
+    /// Rows of `a` per partial sum of the kernel matrix; partials are added
+    /// in row order, so this constant fixes the float summation order.
     const ROW_CHUNK: usize = 4;
     fn mean_kernel(a: &[Vec<f64>], b: &[Vec<f64>], sigma: f64, w: f64) -> f64 {
         if a.is_empty() || b.is_empty() {
             return 0.0;
         }
-        let total = cpgan_parallel::par_reduce(
-            a.len(),
-            ROW_CHUNK,
-            |rows| {
+        let total: f64 = a
+            .chunks(ROW_CHUNK)
+            .map(|rows| {
                 let mut partial = 0.0;
-                for p in &a[rows] {
+                for p in rows {
                     for q in b {
                         partial += gaussian_emd_kernel_scaled(p, q, sigma, w);
                     }
                 }
                 partial
-            },
-            |x, y| x + y,
-        )
-        .unwrap_or(0.0);
+            })
+            .sum();
         total / (a.len() * b.len()) as f64
     }
     let v = mean_kernel(xs, xs, sigma, bin_width) + mean_kernel(ys, ys, sigma, bin_width)

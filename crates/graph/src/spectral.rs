@@ -93,18 +93,13 @@ pub fn spectral_embedding(g: &Graph, d: usize, seed: u64) -> Vec<f32> {
     let mut reseed = seed | 1;
     gram_schmidt(&mut cols, &mut reseed);
 
-    // Each column's mat-vec is independent, so the d columns fan out across
-    // the pool (one column per chunk, each worker with its own scratch
-    // buffer); Gram–Schmidt couples the columns and stays serial.
     let iters = 30 + 2 * d;
+    let mut tmp = vec![0.0f64; n];
     for _ in 0..iters {
-        cpgan_parallel::par_chunks_mut(&mut cols, 1, |_, chunk| {
-            for col in chunk.iter_mut() {
-                let mut tmp = vec![0.0f64; n];
-                normalized_adj_matvec(g, &inv_sqrt_deg, col, &mut tmp);
-                *col = tmp;
-            }
-        });
+        for col in cols.iter_mut() {
+            normalized_adj_matvec(g, &inv_sqrt_deg, col, &mut tmp);
+            std::mem::swap(col, &mut tmp);
+        }
         gram_schmidt(&mut cols, &mut reseed);
     }
 

@@ -61,15 +61,10 @@ pub fn mean_clustering(g: &Graph) -> f64 {
 
 /// Total number of triangles in the graph.
 pub fn triangle_count(g: &Graph) -> usize {
-    // Each triangle is counted at all three vertices. Integer partial sums
-    // are exact, so any ordered combine reproduces the serial count.
-    cpgan_parallel::par_reduce(
-        g.n(),
-        NODE_CHUNK,
-        |nodes| nodes.map(|v| triangles_at(g, v as NodeId)).sum::<usize>(),
-        |a, b| a + b,
-    )
-    .unwrap_or(0)
+    // Each triangle is counted at all three vertices.
+    (0..g.n())
+        .map(|v| triangles_at(g, v as NodeId))
+        .sum::<usize>()
         / 3
 }
 

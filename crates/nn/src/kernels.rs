@@ -2,11 +2,11 @@
 //!
 //! The three dense products ([`Matrix::matmul`](crate::Matrix::matmul) and
 //! its fused-transpose variants) bottom out here. Each kernel processes a
-//! contiguous *row block* of the output — the parallel tier in
-//! `matrix.rs` hands out fixed, shape-determined row blocks — and within a
-//! block runs an MC×KC×NC blocking scheme with an MR×NR register tile:
+//! contiguous *row block* of the output (`matrix.rs` passes the whole
+//! output as one block) and within a block runs an MC×KC×NC blocking scheme
+//! with an MR×NR register tile:
 //!
-//! * **MC** — the caller's row block (the parallel chunk),
+//! * **MC** — the caller's row block,
 //! * **KC** ([`KC`]) — the inner-dimension cache block; the `out` block is
 //!   re-read/re-written once per KC slab so a `KC × NC` panel of `b` stays
 //!   cache-resident,
@@ -19,8 +19,8 @@
 //! # Determinism contract (DESIGN.md §10)
 //!
 //! Every output element accumulates its `k`-products in **ascending `k`
-//! order**, regardless of block sizes, ragged edges, or which thread owns
-//! the row block — so results are bit-identical at every thread count. For
+//! order**, regardless of block sizes, ragged edges, or how the output is
+//! split into row blocks — so results do not depend on the split. For
 //! [`gemm_nn`] / [`gemm_tn`] this order equals the classic scalar i-k-j
 //! loop, so the blocked kernels are bit-identical to the retained seed
 //! references ([`matmul_naive`], [`matmul_tn_naive`]) for inputs whose left
@@ -330,7 +330,7 @@ fn tn_tile(
 /// `b` is `mb x k` (full), `out` is `rb x mb`.
 ///
 /// Each element is an independent dot product reduced by [`dot_lanes`] —
-/// fixed 8-lane split, deterministic for a given `k` at every thread count.
+/// fixed 8-lane split, deterministic for a given `k`.
 pub fn gemm_nt(a: &[f32], b: &[f32], out: &mut [f32], rb: usize, k: usize, mb: usize) {
     assert_eq!(a.len(), rb * k, "gemm_nt: lhs block size");
     assert!(b.len() >= mb * k, "gemm_nt: rhs size");
@@ -346,7 +346,7 @@ pub fn gemm_nt(a: &[f32], b: &[f32], out: &mut [f32], rb: usize, k: usize, mb: u
 /// Dot product with a fixed 8-lane accumulation split: lane `l` sums the
 /// elements at indices `≡ l (mod NR)` of the leading `NR`-aligned prefix,
 /// lanes are combined in index order, and the ragged tail is added last in
-/// ascending order. The split depends only on `a.len()`, never on threads.
+/// ascending order. The split depends only on `a.len()`.
 #[inline]
 pub fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
@@ -368,7 +368,7 @@ pub fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
 /// Sum with the same fixed 8-lane split as [`dot_lanes`]: lane `l` sums the
 /// elements at indices `≡ l (mod NR)` of the `NR`-aligned prefix, lanes are
 /// combined in index order, then the ragged tail is added in ascending
-/// order. Depends only on `a.len()`, never on threads.
+/// order. Depends only on `a.len()`.
 #[inline]
 pub fn sum_lanes(a: &[f32]) -> f32 {
     let mut acc = [0.0f32; NR];
@@ -445,8 +445,7 @@ pub fn axpy_lanes(alpha: f32, x: &[f32], y: &mut [f32]) {
 
 /// In-place numerically-stable softmax over one row: max via [`max_lanes`],
 /// `exp(v - max)` elementwise, then normalization by a [`sum_lanes`]
-/// reduction. The lane split is shape-determined, so rows are bit-identical
-/// at every thread count.
+/// reduction. The lane split is shape-determined.
 #[inline]
 pub fn softmax_row(row: &mut [f32]) {
     if row.is_empty() {
@@ -639,7 +638,7 @@ mod tests {
         let a = seed(k, m, 0.4);
         let b = seed(k, n, 0.1);
         let naive = matmul_tn_naive(&a, &b);
-        // Compute rows 5..13 only, as the parallel tier would.
+        // Compute rows 5..13 only: a row block need not start at row 0.
         let (row0, rb) = (5, 8);
         let mut out = vec![f32::NAN; rb * n];
         gemm_tn(a.as_slice(), b.as_slice(), &mut out, row0, rb, k, m, n);

@@ -8,24 +8,34 @@
 //!
 //! The three dense products delegate to the cache-blocked, register-tiled
 //! microkernels in [`crate::kernels`]; this module only owns the shape
-//! checks, the fixed row-block parallel split, and the obs instrumentation.
+//! checks, the row-block split and the obs instrumentation.
 
 use crate::error::{nn_panic, NnError, ShapeError};
 use crate::kernels;
 use crate::memory;
-use cpgan_parallel::{grain_rows, par_chunks_mut, par_reduce};
 use std::fmt;
 
-/// Target number of `f32` elements per parallel chunk for elementwise ops.
-/// Chunk boundaries depend only on the matrix shape — never on the thread
-/// count — which is what keeps every kernel bit-identical across
-/// `CPGAN_THREADS` settings (see DESIGN.md §8).
-const PAR_GRAIN: usize = 4096;
+/// Elements per partial sum in [`Matrix::sum`] and
+/// [`Matrix::frobenius_norm`]: partials are folded in chunk order, so this
+/// constant fixes the float summation order and with it every pinned output
+/// digest.
+const SUM_CHUNK: usize = 4096;
 
-/// Target output elements per parallel row block for the blocked matmul
-/// kernels — larger than [`PAR_GRAIN`] so each block amortizes its panel
-/// traffic through the KC×NC cache blocking (DESIGN.md §10).
-const MM_GRAIN: usize = 32 * 1024;
+/// Target output elements per row block of [`Matrix::matmul`] and
+/// [`Matrix::matmul_tn`]: the MC of the MC×KC×NC blocking, so a block stays
+/// cache-resident while the kernel re-reads it once per KC slab
+/// (DESIGN.md §10).
+const MM_BLOCK: usize = 32 * 1024;
+
+/// Splits a row-major output with `cols`-wide rows into consecutive
+/// [`MM_BLOCK`]-sized row blocks, yielding `(first_row, rows, block)`.
+fn row_blocks(out: &mut [f32], cols: usize) -> impl Iterator<Item = (usize, usize, &mut [f32])> {
+    let cols = cols.max(1);
+    let rows = (MM_BLOCK / cols).max(1);
+    out.chunks_mut(rows * cols)
+        .enumerate()
+        .map(move |(bi, block)| (bi * rows, block.len() / cols, block))
+}
 
 /// Reports a kernel's achieved GFLOP/s (= flops per nanosecond) when
 /// observability is on; `sw` is `None` (and nothing is recorded) when it is
@@ -230,19 +240,10 @@ impl Matrix {
         let sw = cpgan_obs::enabled().then(cpgan_obs::Stopwatch::start);
         let (k, n) = (self.cols, other.cols);
         let mut out = Matrix::uninit(self.rows, n);
-        let block = grain_rows(MM_GRAIN, n);
-        par_chunks_mut(&mut out.data, block * n, |ci, chunk| {
-            let r0 = ci * block;
-            let rb = chunk.len() / n;
-            kernels::gemm_nn(
-                &self.data[r0 * k..(r0 + rb) * k],
-                &other.data,
-                chunk,
-                rb,
-                k,
-                n,
-            );
-        });
+        for (r0, rb, block) in row_blocks(&mut out.data, n) {
+            let lhs = &self.data[r0 * k..(r0 + rb) * k];
+            kernels::gemm_nn(lhs, &other.data, block, rb, k, n);
+        }
         gflops_gauge("nn.matmul.gflops", flops, sw);
         Ok(out)
     }
@@ -266,16 +267,13 @@ impl Matrix {
         let flops = 2.0 * self.rows as f64 * self.cols as f64 * other.cols as f64;
         cpgan_obs::hist_record("nn.matmul.flops", flops);
         let sw = cpgan_obs::enabled().then(cpgan_obs::Stopwatch::start);
-        // Row-blocked over the *output* (out row i reads column i of self);
-        // the blocked kernel keeps the k-ascending accumulation order.
         let (k, n, m) = (self.rows, self.cols, other.cols);
         let mut out = Matrix::uninit(n, m);
-        let block = grain_rows(MM_GRAIN, m);
-        par_chunks_mut(&mut out.data, block * m, |ci, chunk| {
-            let r0 = ci * block;
-            let rb = chunk.len() / m;
-            kernels::gemm_tn(&self.data, &other.data, chunk, r0, rb, k, n, m);
-        });
+        // Out row i reads column i of self, so a row block of the output
+        // names its first row instead of slicing the left operand.
+        for (r0, rb, block) in row_blocks(&mut out.data, m) {
+            kernels::gemm_tn(&self.data, &other.data, block, r0, rb, k, n, m);
+        }
         gflops_gauge("nn.matmul_tn.gflops", flops, sw);
         Ok(out)
     }
@@ -301,19 +299,7 @@ impl Matrix {
         let sw = cpgan_obs::enabled().then(cpgan_obs::Stopwatch::start);
         let (k, m) = (self.cols, other.rows);
         let mut out = Matrix::uninit(self.rows, m);
-        let block = grain_rows(MM_GRAIN, m);
-        par_chunks_mut(&mut out.data, block * m, |ci, chunk| {
-            let r0 = ci * block;
-            let rb = chunk.len() / m;
-            kernels::gemm_nt(
-                &self.data[r0 * k..(r0 + rb) * k],
-                &other.data,
-                chunk,
-                rb,
-                k,
-                m,
-            );
-        });
+        kernels::gemm_nt(&self.data, &other.data, &mut out.data, self.rows, k, m);
         gflops_gauge("nn.matmul_nt.gflops", flops, sw);
         Ok(out)
     }
@@ -343,40 +329,31 @@ impl Matrix {
     }
 
     /// Elementwise map into a new matrix.
-    pub fn map(&self, f: impl Fn(f32) -> f32 + Sync) -> Matrix {
+    pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
         let mut out = self.clone();
         out.map_inplace(f);
         out
     }
 
     /// In-place elementwise map.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32 + Sync) {
-        par_chunks_mut(&mut self.data, PAR_GRAIN, |_, chunk| {
-            for v in chunk.iter_mut() {
-                *v = f(*v);
-            }
-        });
+    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
+        for v in &mut self.data {
+            *v = f(*v);
+        }
     }
 
     /// Elementwise combination of two same-shape matrices.
-    pub fn zip(&self, other: &Matrix, f: impl Fn(f32, f32) -> f32 + Sync) -> Matrix {
+    pub fn zip(&self, other: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
         self.try_zip(other, f).unwrap_or_else(|e| nn_panic(e))
     }
 
     /// Fallible [`Matrix::zip`]: rejects shape mismatches.
-    pub fn try_zip(
-        &self,
-        other: &Matrix,
-        f: impl Fn(f32, f32) -> f32 + Sync,
-    ) -> Result<Matrix, NnError> {
+    pub fn try_zip(&self, other: &Matrix, f: impl Fn(f32, f32) -> f32) -> Result<Matrix, NnError> {
         same_shape("zip", self, other)?;
         let mut out = self.clone();
-        par_chunks_mut(&mut out.data, PAR_GRAIN, |ci, chunk| {
-            let base = ci * PAR_GRAIN;
-            for (k, o) in chunk.iter_mut().enumerate() {
-                *o = f(*o, other.data[base + k]);
-            }
-        });
+        for (o, &b) in out.data.iter_mut().zip(&other.data) {
+            *o = f(*o, b);
+        }
         Ok(out)
     }
 
@@ -388,45 +365,36 @@ impl Matrix {
     /// Fallible [`Matrix::axpy`]: rejects shape mismatches.
     pub fn try_axpy(&mut self, alpha: f32, other: &Matrix) -> Result<(), NnError> {
         same_shape("axpy", self, other)?;
-        par_chunks_mut(&mut self.data, PAR_GRAIN, |ci, chunk| {
-            let base = ci * PAR_GRAIN;
-            crate::kernels::axpy_lanes(alpha, &other.data[base..base + chunk.len()], chunk);
-        });
+        kernels::axpy_lanes(alpha, &other.data, &mut self.data);
         Ok(())
     }
 
-    /// Sum of all elements, accumulated over fixed chunks combined in index
-    /// order (bit-identical for every thread count). Within a chunk the
-    /// reduction uses the fixed 8-lane split of
-    /// [`crate::kernels::sum_lanes`] — shape-determined, never
-    /// thread-dependent.
+    /// Sum of all elements: [`SUM_CHUNK`]-element chunks, each reduced with
+    /// the fixed 8-lane split of [`crate::kernels::sum_lanes`], folded in
+    /// chunk order.
     pub fn sum(&self) -> f32 {
-        par_reduce(
-            self.data.len(),
-            PAR_GRAIN,
-            |r| crate::kernels::sum_lanes(&self.data[r]),
-            |a, b| a + b,
-        )
-        .unwrap_or(0.0)
+        chunked_sum(&self.data, kernels::sum_lanes)
     }
 
-    /// Frobenius norm (per-chunk 8-lane sum of squares, chunks combined in
-    /// index order).
+    /// Frobenius norm (per-chunk 8-lane sum of squares, chunks folded in
+    /// order).
     pub fn frobenius_norm(&self) -> f32 {
-        par_reduce(
-            self.data.len(),
-            PAR_GRAIN,
-            |r| crate::kernels::sumsq_lanes(&self.data[r]),
-            |a, b| a + b,
-        )
-        .unwrap_or(0.0)
-        .sqrt()
+        chunked_sum(&self.data, kernels::sumsq_lanes).sqrt()
     }
 
     /// Sets all elements to zero, keeping the allocation.
     pub fn fill_zero(&mut self) {
         self.data.fill(0.0);
     }
+}
+
+/// Folds `lanes` over [`SUM_CHUNK`]-element chunks of `data` in chunk order
+/// (`0.0` for an empty slice).
+fn chunked_sum(data: &[f32], lanes: fn(&[f32]) -> f32) -> f32 {
+    data.chunks(SUM_CHUNK)
+        .map(lanes)
+        .reduce(|a, b| a + b)
+        .unwrap_or(0.0)
 }
 
 /// Checks that two matrices share a shape, for elementwise ops.

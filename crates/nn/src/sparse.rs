@@ -144,10 +144,9 @@ impl Csr {
             .zip(self.values[range].iter().copied())
     }
 
-    /// Sparse x dense product `self * x`, row-blocked across the pool.
+    /// Sparse x dense product `self * x`.
     ///
-    /// Each output row accumulates its own CSR row in index order, so the
-    /// result is bit-identical for every `CPGAN_THREADS` setting.
+    /// Each output row accumulates its own CSR row in index order.
     pub fn matmul_dense(&self, x: &Matrix) -> Matrix {
         assert_eq!(self.cols, x.rows(), "spmm shape mismatch");
         let _span = cpgan_obs::span("nn.spmm");
@@ -158,22 +157,9 @@ impl Csr {
         if d == 0 {
             return out;
         }
-        // Fixed row blocks (~4096 output elements each), independent of the
-        // thread count.
-        let block = cpgan_parallel::grain_rows(4096, d);
-        cpgan_parallel::par_chunks_mut(out.as_mut_slice(), block * d, |ci, chunk| {
-            for (local, out_row) in chunk.chunks_mut(d).enumerate() {
-                let r = ci * block + local;
-                for i in self.offsets[r]..self.offsets[r + 1] {
-                    let c = self.indices[i] as usize;
-                    let v = self.values[i];
-                    let x_row = &x.as_slice()[c * d..(c + 1) * d];
-                    for (o, &xv) in out_row.iter_mut().zip(x_row) {
-                        *o += v * xv;
-                    }
-                }
-            }
-        });
+        for (r, out_row) in out.as_mut_slice().chunks_mut(d).enumerate() {
+            self.accumulate_row(r, x, out_row);
+        }
         out
     }
 
@@ -183,9 +169,7 @@ impl Csr {
     /// followed, per output row while it is still cache-hot, by the row
     /// bias add and the activation map. Per element the float ops and their
     /// order are exactly the composed `spmm → add_row_broadcast → act`
-    /// sequence, so the result is bit-identical to the unfused op chain —
-    /// and, because row blocks are shape-determined, bit-identical at every
-    /// thread count.
+    /// sequence, so the result is bit-identical to the unfused op chain.
     ///
     /// `bias` is a `1 × x.cols()` row (or `None` for no bias).
     pub fn matmul_dense_bias_act(
@@ -206,31 +190,34 @@ impl Csr {
         if d == 0 {
             return out;
         }
-        let block = cpgan_parallel::grain_rows(4096, d);
-        cpgan_parallel::par_chunks_mut(out.as_mut_slice(), block * d, |ci, chunk| {
-            for (local, out_row) in chunk.chunks_mut(d).enumerate() {
-                let r = ci * block + local;
-                for i in self.offsets[r]..self.offsets[r + 1] {
-                    let c = self.indices[i] as usize;
-                    let v = self.values[i];
-                    let x_row = &x.as_slice()[c * d..(c + 1) * d];
-                    for (o, &xv) in out_row.iter_mut().zip(x_row) {
-                        *o += v * xv;
-                    }
-                }
-                if let Some(b) = bias {
-                    for (o, &bv) in out_row.iter_mut().zip(b.row(0)) {
-                        *o += bv;
-                    }
-                }
-                if act != FusedAct::Identity {
-                    for o in out_row.iter_mut() {
-                        *o = act.apply(*o);
-                    }
+        for (r, out_row) in out.as_mut_slice().chunks_mut(d).enumerate() {
+            self.accumulate_row(r, x, out_row);
+            if let Some(b) = bias {
+                for (o, &bv) in out_row.iter_mut().zip(b.row(0)) {
+                    *o += bv;
                 }
             }
-        });
+            if act != FusedAct::Identity {
+                for o in out_row.iter_mut() {
+                    *o = act.apply(*o);
+                }
+            }
+        }
         out
+    }
+
+    /// `out_row += (row r of self) * x`, accumulating the CSR row in index
+    /// order (`out_row` is `x.cols()` wide).
+    fn accumulate_row(&self, r: usize, x: &Matrix, out_row: &mut [f32]) {
+        let d = out_row.len();
+        for i in self.offsets[r]..self.offsets[r + 1] {
+            let c = self.indices[i] as usize;
+            let v = self.values[i];
+            let x_row = &x.as_slice()[c * d..(c + 1) * d];
+            for (o, &xv) in out_row.iter_mut().zip(x_row) {
+                *o += v * xv;
+            }
+        }
     }
 
     /// Transposed copy (used by autograd for non-symmetric operators).

@@ -217,7 +217,7 @@ impl Var {
     /// one pass over the output ([`Csr::matmul_dense_bias_act`]), and the
     /// backward derives the activation mask from the saved output, so the
     /// op is bit-identical to the composed
-    /// `spmm → add_row_broadcast → act` chain at every thread count.
+    /// `spmm → add_row_broadcast → act` chain.
     ///
     /// `bias` must be a `1 x cols` row on the same tape (or `None`).
     pub fn spmm_bias_act(&self, s: &Arc<Csr>, bias: Option<&Var>, act: FusedAct) -> Var {
@@ -481,9 +481,8 @@ impl Var {
         self.mul(self)
     }
 
-    /// Row-wise softmax, row-blocked across the pool (each row normalizes
-    /// independently via the explicit 8-lane [`crate::kernels::softmax_row`]
-    /// kernel, so the result is thread-count independent).
+    /// Row-wise softmax (each row normalizes independently via the explicit
+    /// 8-lane [`crate::kernels::softmax_row`] kernel).
     pub fn softmax_rows(&self) -> Var {
         let value = {
             let nodes = self.tape.nodes.borrow();
@@ -491,12 +490,9 @@ impl Var {
             let mut out = x.clone();
             let d = out.cols();
             if d > 0 {
-                let block = cpgan_parallel::grain_rows(4096, d);
-                cpgan_parallel::par_chunks_mut(out.as_mut_slice(), block * d, |_, chunk| {
-                    for row in chunk.chunks_mut(d) {
-                        crate::kernels::softmax_row(row);
-                    }
-                });
+                for row in out.as_mut_slice().chunks_mut(d) {
+                    crate::kernels::softmax_row(row);
+                }
             }
             out
         };

@@ -183,31 +183,6 @@ fn block_diag_batch_matches_independent_calls_bitwise() {
     }
 }
 
-/// Thread count must not change fused results (spot check here; the full
-/// 1-vs-N matrix lives in `parallel_equivalence.rs`).
-#[test]
-fn fused_batched_identical_across_thread_counts() {
-    let mut rng = StdRng::seed_from_u64(0x7d);
-    let graphs: Vec<Graph> = [30usize, 25, 40]
-        .iter()
-        .map(|&n| random_graph(&mut rng, n, 0.3))
-        .collect();
-    let batch = BlockDiagCsr::from_graphs(graphs.iter());
-    let x = random_matrix(&mut rng, batch.total_rows(), 64);
-    let b = random_matrix(&mut rng, 1, 64);
-    let run = |threads: usize| {
-        cpgan_parallel::with_thread_count(threads, || {
-            batch
-                .op()
-                .matmul_dense_bias_act(&x, Some(&b), FusedAct::Sigmoid)
-        })
-    };
-    let base = run(1);
-    for t in [2, 4] {
-        assert_bits_eq(&base, &run(t), &format!("1 vs {t} threads"));
-    }
-}
-
 /// Doc-sync: the DESIGN §13 activation table and `FusedAct::ALL` cannot
 /// drift apart (same pattern as the §12 rule-catalog sync in xtask).
 #[test]

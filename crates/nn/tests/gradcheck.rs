@@ -11,7 +11,6 @@
 
 use cpgan_graph::Graph;
 use cpgan_nn::{Csr, Matrix, Param, Tape, Var};
-use cpgan_parallel::with_thread_count;
 use std::sync::Arc;
 
 /// Checks `d loss / d param` analytically vs numerically.
@@ -48,6 +47,12 @@ fn gradcheck(name: &str, init: Matrix, f: impl Fn(&Tape, &Var) -> Var) {
     }
 }
 
+/// Width of the wide operands: a 2-row matrix this wide spans several
+/// 4096-element partial sums in `Matrix::sum`, and the kernels run on
+/// multi-tile rows. Parameters stay small — the width comes from constants —
+/// to keep the finite-difference loop cheap.
+const WIDE: usize = 2100;
+
 fn seed_matrix(rows: usize, cols: usize, offset: f32) -> Matrix {
     Matrix::from_fn(rows, cols, |r, c| {
         // Deterministic, non-degenerate, sign-mixed values.
@@ -62,6 +67,10 @@ fn grad_matmul() {
         let w = t.constant(seed_matrix(4, 2, 0.7));
         x.matmul(&w).sum_all()
     });
+    gradcheck("matmul_wide", seed_matrix(2, 6, 0.15), |t, x| {
+        let w = t.constant(seed_matrix(6, WIDE, 0.6));
+        x.matmul(&w).square().sum_all()
+    });
 }
 
 #[test]
@@ -70,14 +79,25 @@ fn grad_matmul_right_operand() {
         let a = t.constant(seed_matrix(3, 4, 0.9));
         a.matmul(x).square().sum_all()
     });
+    // A tall left operand: x's gradient flows through matmul_tn with
+    // k = WIDE / 2, across several KC slabs.
+    gradcheck("matmul_rhs_tall", seed_matrix(6, 4, 0.25), |t, x| {
+        let a = t.constant(seed_matrix(WIDE / 2, 6, 0.45));
+        a.matmul(x).square().sum_all()
+    });
 }
 
 #[test]
 fn grad_spmm() {
     let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)]).unwrap();
     let adj = Arc::new(Csr::normalized_adjacency(&g));
+    let a = Arc::clone(&adj);
     gradcheck("spmm", seed_matrix(5, 3, 0.2), move |_t, x| {
-        x.spmm(&adj).square().sum_all()
+        x.spmm(&a).square().sum_all()
+    });
+    gradcheck("spmm_wide", seed_matrix(5, 3, 0.2), move |t, x| {
+        let w = t.constant(seed_matrix(3, 840, 0.7));
+        x.matmul(&w).spmm(&adj).square().sum_all()
     });
 }
 
@@ -163,6 +183,11 @@ fn grad_softmax() {
         let w = t.constant(seed_matrix(2, 4, 1.7));
         x.softmax_rows().mul(&w).sum_all()
     });
+    gradcheck("softmax_wide", seed_matrix(2, 8, 0.2), |t, x| {
+        let w = t.constant(seed_matrix(8, WIDE, 0.9));
+        let m = t.constant(seed_matrix(2, WIDE, 1.4));
+        x.matmul(&w).softmax_rows().mul(&m).sum_all()
+    });
 }
 
 #[test]
@@ -178,6 +203,16 @@ fn grad_transpose_concat() {
         let c = t.constant(seed_matrix(4, 3, 0.5));
         Var::concat_rows(&[c, x.clone()]).square().sum_all()
     });
+    gradcheck("concat_cols_wide", seed_matrix(2, 5, 0.1), |t, x| {
+        let w = t.constant(seed_matrix(5, WIDE / 2, 0.5));
+        let c = t.constant(seed_matrix(2, WIDE / 2, 0.8));
+        Var::concat_cols(&[x.matmul(&w), c]).square().sum_all()
+    });
+    gradcheck("concat_rows_wide", seed_matrix(2, 5, 0.3), |t, x| {
+        let w = t.constant(seed_matrix(5, WIDE / 2, 0.2));
+        let c = t.constant(seed_matrix(2, WIDE / 2, 0.6));
+        Var::concat_rows(&[c, x.matmul(&w)]).square().sum_all()
+    });
 }
 
 #[test]
@@ -187,6 +222,14 @@ fn grad_reductions() {
     });
     gradcheck("mean_all", seed_matrix(3, 3, 0.2), |_t, x| {
         x.square().mean_all()
+    });
+    gradcheck("mean_all_wide", seed_matrix(3, 7, 0.2), |t, x| {
+        let w = t.constant(seed_matrix(7, WIDE / 3, 0.4));
+        x.matmul(&w).square().mean_all()
+    });
+    gradcheck("mean_rows_wide", seed_matrix(2, 6, 0.4), |t, x| {
+        let w = t.constant(seed_matrix(6, WIDE, 0.3));
+        x.matmul(&w).mean_rows().square().sum_all()
     });
 }
 
@@ -235,89 +278,6 @@ fn grad_composite_gcn_like_stack() {
         let s = z.softmax_rows();
         let pooled = s.transpose().matmul(&z); // DiffPool-style S^T Z
         pooled.square().sum_all()
-    });
-}
-
-// ---- Parallel-path coverage ----------------------------------------------
-//
-// The shapes above produce single-chunk kernels, so the checks exercise the
-// serial code path regardless of thread count. The checks below pin four
-// threads and route each op through intermediates wide enough to span
-// several parallel chunks (elementwise grain 4096; one output row per chunk
-// at width `WIDE`), so both the analytic backward pass and every numeric
-// forward evaluation run the threaded kernels. Parameters stay small — the
-// width comes from constants — to keep the finite-difference loop cheap.
-
-/// Wide enough that a 2-row matrix spans multiple 4096-entry chunks.
-const WIDE: usize = 2100;
-
-#[test]
-fn grad_matmul_parallel_path() {
-    with_thread_count(4, || {
-        gradcheck("matmul_par", seed_matrix(2, 6, 0.15), |t, x| {
-            let w = t.constant(seed_matrix(6, WIDE, 0.6));
-            x.matmul(&w).square().sum_all()
-        });
-        gradcheck("matmul_rhs_par", seed_matrix(6, 4, 0.25), |t, x| {
-            // Left operand spans chunks; x's gradient flows through the
-            // parallel matmul_tn kernel.
-            let a = t.constant(seed_matrix(WIDE / 2, 6, 0.45));
-            a.matmul(x).square().sum_all()
-        });
-    });
-}
-
-#[test]
-fn grad_spmm_parallel_path() {
-    // 5 nodes x 840 features: CSR x dense splits into 4-row blocks.
-    let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)]).unwrap();
-    let adj = Arc::new(Csr::normalized_adjacency(&g));
-    with_thread_count(4, move || {
-        gradcheck("spmm_par", seed_matrix(5, 3, 0.2), move |t, x| {
-            let w = t.constant(seed_matrix(3, 840, 0.7));
-            x.matmul(&w).spmm(&adj).square().sum_all()
-        });
-    });
-}
-
-#[test]
-fn grad_softmax_parallel_path() {
-    with_thread_count(4, || {
-        gradcheck("softmax_par", seed_matrix(2, 8, 0.2), |t, x| {
-            let w = t.constant(seed_matrix(8, WIDE, 0.9));
-            let m = t.constant(seed_matrix(2, WIDE, 1.4));
-            x.matmul(&w).softmax_rows().mul(&m).sum_all()
-        });
-    });
-}
-
-#[test]
-fn grad_concat_parallel_path() {
-    with_thread_count(4, || {
-        gradcheck("concat_cols_par", seed_matrix(2, 5, 0.1), |t, x| {
-            let w = t.constant(seed_matrix(5, WIDE / 2, 0.5));
-            let c = t.constant(seed_matrix(2, WIDE / 2, 0.8));
-            Var::concat_cols(&[x.matmul(&w), c]).square().sum_all()
-        });
-        gradcheck("concat_rows_par", seed_matrix(2, 5, 0.3), |t, x| {
-            let w = t.constant(seed_matrix(5, WIDE / 2, 0.2));
-            let c = t.constant(seed_matrix(2, WIDE / 2, 0.6));
-            Var::concat_rows(&[c, x.matmul(&w)]).square().sum_all()
-        });
-    });
-}
-
-#[test]
-fn grad_reductions_parallel_path() {
-    with_thread_count(4, || {
-        gradcheck("mean_all_par", seed_matrix(3, 7, 0.2), |t, x| {
-            let w = t.constant(seed_matrix(7, WIDE / 3, 0.4));
-            x.matmul(&w).square().mean_all()
-        });
-        gradcheck("mean_rows_par", seed_matrix(2, 6, 0.4), |t, x| {
-            let w = t.constant(seed_matrix(6, WIDE, 0.3));
-            x.matmul(&w).mean_rows().square().sum_all()
-        });
     });
 }
 

@@ -6,8 +6,8 @@
 //! Every primitive here upholds one contract: **the result is bit-identical
 //! for every thread count**, including `CPGAN_THREADS=1` (pure serial
 //! execution). That determinism is what makes the serial-equivalence test
-//! layer possible — each parallelized kernel is tested by running it at 1
-//! and 4 threads and asserting bitwise-equal outputs.
+//! layer possible — each parallelized computation is tested by running it
+//! at 1 and several threads and asserting bitwise-equal outputs.
 //!
 //! The contract is achieved by construction:
 //!
@@ -26,12 +26,15 @@
 //!
 //! Two execution tiers (see DESIGN.md §8):
 //!
-//! * **Scoped tier** — [`par_chunks_mut`], [`par_map`], [`par_reduce`]
-//!   borrow caller data directly and run on `std::thread::scope`. The
-//!   workspace forbids `unsafe_code`, and lending non-`'static` borrows to
-//!   long-lived workers requires lifetime erasure, so the scoped tier spawns
-//!   scoped OS threads per call; kernels are chunky enough (≥ milliseconds)
-//!   to amortize the ~tens of microseconds of spawn cost.
+//! * **Scoped tier** — [`par_chunks_mut`], [`par_reduce`] borrow caller
+//!   data directly and run on `std::thread::scope`. The workspace forbids
+//!   `unsafe_code`, and lending non-`'static` borrows to long-lived workers
+//!   requires lifetime erasure, so the scoped tier spawns scoped OS threads
+//!   per call. Only the graph statistics that measurably gain from it use
+//!   it: local clustering and the CPL BFS fan-out. The
+//!   `cpgan-nn` kernels, spectral embedding and MMD run serially, because
+//!   per-call spawns inside their millisecond calls cost more than they
+//!   save (DESIGN.md §8).
 //! * **Pool tier** — [`Pool`] keeps persistent workers alive for owned
 //!   (`'static`) coarse-grained jobs, e.g. the evaluation pipeline's
 //!   independent baseline-generator runs ([`Pool::par_map_owned`]).
@@ -48,7 +51,7 @@ mod service;
 mod threads;
 
 pub use pool::Pool;
-pub use scoped::{par_chunks_mut, par_map, par_reduce};
+pub use scoped::{par_chunks_mut, par_reduce};
 pub use service::spawn_service;
 pub use threads::{current_threads, with_thread_count};
 
@@ -58,18 +61,6 @@ pub use threads::{current_threads, with_thread_count};
 #[inline]
 pub fn chunk_count(n: usize, chunk: usize) -> usize {
     n.div_ceil(chunk.max(1))
-}
-
-/// Rows per fixed parallel chunk for a row-blocked kernel over `cols`-wide
-/// rows, targeting roughly `grain` elements per chunk (at least one row).
-///
-/// Depends only on the shape and the grain — never on the thread count —
-/// so kernels that split work with it keep the determinism contract. The
-/// row-blocked kernels in `cpgan-nn` (dense matmul, CSR×dense, row-wise
-/// softmax) all derive their chunking from this one helper.
-#[inline]
-pub fn grain_rows(grain: usize, cols: usize) -> usize {
-    (grain / cols.max(1)).max(1)
 }
 
 #[cfg(test)]
@@ -84,14 +75,5 @@ mod tests {
         assert_eq!(chunk_count(9, 8), 2);
         assert_eq!(chunk_count(17, 8), 3);
         assert_eq!(chunk_count(5, 0), 5); // degenerate chunk size clamps to 1
-    }
-
-    #[test]
-    fn grain_rows_is_shape_determined_and_positive() {
-        assert_eq!(grain_rows(4096, 64), 64);
-        assert_eq!(grain_rows(4096, 4096), 1);
-        assert_eq!(grain_rows(4096, 10_000), 1); // wider than grain: 1 row
-        assert_eq!(grain_rows(4096, 0), 4096); // degenerate width clamps to 1
-        assert_eq!(grain_rows(0, 7), 1);
     }
 }

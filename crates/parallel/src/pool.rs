@@ -15,13 +15,17 @@ use std::sync::{Arc, OnceLock};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// Starts one named worker thread running the given loop.
+type Spawner = fn(String, Job) -> std::io::Result<()>;
+
 /// A persistent pool of worker threads executing owned jobs.
 pub struct Pool {
     sender: Mutex<Sender<Job>>,
     receiver: Arc<Mutex<Receiver<Job>>>,
-    /// Number of workers spawned so far; grown on demand up to the largest
-    /// concurrently requested parallelism.
+    /// Number of workers that actually started; grown on demand up to the
+    /// largest concurrently requested parallelism.
     spawned: Mutex<usize>,
+    spawn: Spawner,
 }
 
 impl Pool {
@@ -30,36 +34,43 @@ impl Pool {
     /// never start a thread.
     pub fn global() -> &'static Pool {
         static GLOBAL: OnceLock<Pool> = OnceLock::new();
-        GLOBAL.get_or_init(Pool::new)
+        GLOBAL.get_or_init(|| {
+            Pool::with_spawner(|name, run| {
+                std::thread::Builder::new().name(name).spawn(run).map(drop)
+            })
+        })
     }
 
-    fn new() -> Pool {
+    fn with_spawner(spawn: Spawner) -> Pool {
         let (sender, receiver) = channel::<Job>();
         Pool {
             sender: Mutex::new(sender),
             receiver: Arc::new(Mutex::new(receiver)),
             spawned: Mutex::new(0),
+            spawn,
         }
     }
 
-    /// Ensures at least `want` workers exist (workers are never reaped).
-    fn ensure_workers(&self, want: usize) {
+    /// Tries to grow the pool to `want` workers (workers are never reaped)
+    /// and returns how many are running. A failed spawn is not counted, so
+    /// a later batch tries again.
+    fn ensure_workers(&self, want: usize) -> usize {
         let mut spawned = self.spawned.lock();
         while *spawned < want {
             let rx = Arc::clone(&self.receiver);
-            let idx = *spawned;
-            std::thread::Builder::new()
-                .name(format!("cpgan-pool-{idx}"))
-                .spawn(move || loop {
-                    let job = rx.lock().recv();
-                    match job {
-                        Ok(job) => job(),
-                        Err(_) => break, // sender gone: process shutdown
-                    }
-                })
-                .ok();
+            let worker = Box::new(move || loop {
+                let job = rx.lock().recv();
+                match job {
+                    Ok(job) => job(),
+                    Err(_) => break, // sender gone: process shutdown
+                }
+            });
+            if (self.spawn)(format!("cpgan-pool-{}", *spawned), worker).is_err() {
+                break;
+            }
             *spawned += 1;
         }
+        *spawned
     }
 
     /// Maps `f` over owned `items` on the pool, returning results in item
@@ -70,8 +81,9 @@ impl Pool {
     /// caller). Results are gathered as `(index, value)` pairs and sorted by
     /// index, so output order is independent of scheduling; for
     /// deterministic `f`, the output is bit-identical at every thread
-    /// count. A panicking job is forwarded to the caller after the whole
-    /// batch completes.
+    /// count. If no worker thread can be started, the batch runs inline on
+    /// the caller, as in the serial case. A panicking job is forwarded to
+    /// the caller after the whole batch completes.
     pub fn par_map_owned<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send + 'static,
@@ -83,14 +95,13 @@ impl Pool {
         // The jobs counter is bumped on the caller in BOTH execution paths,
         // so its value is thread-count invariant (obs determinism contract).
         cpgan_obs::counter_add("parallel.pool.jobs", n as u64);
-        if workers <= 1 {
+        if workers <= 1 || self.ensure_workers(workers) == 0 {
             return items
                 .into_iter()
                 .enumerate()
                 .map(|(i, t)| run_job(&f, i, t))
                 .collect();
         }
-        self.ensure_workers(workers);
         let f = Arc::new(f);
         let (done_tx, done_rx) = channel();
         {
@@ -190,5 +201,17 @@ mod tests {
         // The pool survives the panic and still runs new batches.
         let out = with_thread_count(2, || Pool::global().par_map_owned(vec![5u32], |_, x| x * 2));
         assert_eq!(out, vec![10]);
+    }
+
+    #[test]
+    fn batch_runs_inline_when_no_worker_starts() {
+        let pool = Pool::with_spawner(|_, _| Err(std::io::Error::other("no threads")));
+        // Without the inline fallback this would queue jobs no worker ever
+        // runs and block forever.
+        let out = with_thread_count(4, || {
+            pool.par_map_owned((0..9u64).collect(), |i, x| i as u64 * 7 + x)
+        });
+        assert_eq!(out, (0..9u64).map(|x| x * 8).collect::<Vec<_>>());
+        assert_eq!(*pool.spawned.lock(), 0);
     }
 }

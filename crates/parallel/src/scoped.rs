@@ -1,6 +1,6 @@
 //! Scoped, borrow-based primitives: fixed chunking, index-ordered combining.
 //!
-//! All three primitives share one execution scheme: the work is split into
+//! Both primitives share one execution scheme: the work is split into
 //! chunks whose boundaries depend only on the problem shape, a shared queue
 //! hands chunks to `current_threads() - 1` scoped helper threads plus the
 //! calling thread, and any per-chunk results are re-assembled **in chunk
@@ -45,47 +45,6 @@ where
         }
         run(&queue);
     });
-}
-
-/// Maps `f(index, &item)` over `items` in parallel, returning results in
-/// item order.
-///
-/// Intended for coarse-grained items (a BFS, a spectral column, a model
-/// fit); each item is its own chunk. Results are gathered as
-/// `(index, value)` pairs and sorted by index on the calling thread, so the
-/// output order — and, for deterministic `f`, the output itself — is
-/// independent of the thread count.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let workers = current_threads().min(items.len());
-    if workers <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let queue = Mutex::new(items.iter().enumerate());
-    let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(items.len()));
-    let run = || loop {
-        let next = queue.lock().next();
-        match next {
-            Some((i, t)) => {
-                let r = f(i, t);
-                results.lock().push((i, r));
-            }
-            None => break,
-        }
-    };
-    std::thread::scope(|s| {
-        for _ in 1..workers {
-            s.spawn(run);
-        }
-        run();
-    });
-    let mut pairs = results.into_inner();
-    pairs.sort_unstable_by_key(|&(i, _)| i);
-    pairs.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Ordered parallel reduction over the index range `0..n`.
@@ -161,16 +120,6 @@ mod tests {
     }
 
     #[test]
-    fn map_preserves_order() {
-        let items: Vec<usize> = (0..57).collect();
-        let serial = with_thread_count(1, || par_map(&items, |i, &x| i * 1000 + x * x));
-        for threads in [2, 3, 4] {
-            let par = with_thread_count(threads, || par_map(&items, |i, &x| i * 1000 + x * x));
-            assert_eq!(par, serial, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn reduce_is_bit_identical_across_thread_counts() {
         // A non-associative float fold: ordering matters, so equality is a
         // real check of the fixed-chunk + ordered-combine contract.
@@ -206,7 +155,5 @@ mod tests {
     fn empty_inputs_are_fine() {
         let mut empty: Vec<u8> = Vec::new();
         par_chunks_mut(&mut empty, 4, |_, _| {});
-        let mapped: Vec<u8> = par_map(&Vec::<u8>::new(), |_, &x| x);
-        assert!(mapped.is_empty());
     }
 }

@@ -54,11 +54,6 @@ pub struct ServeConfig {
     pub deadline_ms: u64,
     /// Maximum jobs a worker drains from the queue per wakeup.
     pub batch_size: usize,
-    /// Threads each worker may use *inside* one generation; `None` splits
-    /// the `cpgan-parallel` thread count evenly across workers so
-    /// concurrent requests do not oversubscribe cores. Results are
-    /// bit-identical at any setting (the runtime's determinism contract).
-    pub gen_threads: Option<usize>,
     /// Keep-alive idle timeout in milliseconds: a connection with no
     /// request in flight is closed after this much silence.
     pub idle_ms: u64,
@@ -78,7 +73,6 @@ impl Default for ServeConfig {
             queue_depth: 64,
             deadline_ms: 5_000,
             batch_size: 8,
-            gen_threads: None,
             idle_ms: 5_000,
             cache_bytes: 16 * 1024 * 1024,
             max_conns: 1024,
@@ -117,7 +111,6 @@ pub(crate) struct Shared {
     pub poller: Poller,
     pub deadline: Duration,
     pub idle: Duration,
-    pub gen_threads: usize,
     pub workers: usize,
     pub batch_size: usize,
     pub max_conns: usize,
@@ -165,10 +158,6 @@ impl Server {
         let addr = listener.local_addr()?;
 
         let workers = resolve_workers(cfg.workers);
-        let gen_threads = cfg
-            .gen_threads
-            .unwrap_or_else(|| (cpgan_parallel::current_threads() / workers).max(1))
-            .max(1);
         let shared = Arc::new(Shared {
             registry,
             queue: Bounded::new(cfg.queue_depth),
@@ -177,7 +166,6 @@ impl Server {
             poller: Poller::new()?,
             deadline: Duration::from_millis(cfg.deadline_ms.max(1)),
             idle: Duration::from_millis(cfg.idle_ms.max(1)),
-            gen_threads,
             workers,
             batch_size: cfg.batch_size.max(1),
             max_conns: cfg.max_conns.max(1),
@@ -409,11 +397,7 @@ fn run_job(shared: &Shared, job: &Job) -> Response {
         count_error(&err);
         return error_response(&err);
     }
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        cpgan_parallel::with_thread_count(shared.gen_threads, || {
-            generate_body(&job.model, &job.key)
-        })
-    }));
+    let outcome = catch_unwind(AssertUnwindSafe(|| generate_body(&job.model, &job.key)));
     match outcome {
         Ok(Ok(body)) => {
             let body = Arc::new(body);

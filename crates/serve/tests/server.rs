@@ -166,7 +166,6 @@ fn full_queue_rejects_with_429_and_retry_after() {
             queue_depth: 2,
             deadline_ms: 60_000,
             batch_size: 1,
-            gen_threads: Some(1),
             cache_bytes: 0, // force every request through the queue
             ..ServeConfig::default()
         },
@@ -230,7 +229,6 @@ fn queue_wait_past_deadline_answers_408_without_generating() {
             queue_depth: 8,
             deadline_ms: 120,
             batch_size: 1,
-            gen_threads: Some(1),
             cache_bytes: 0,
             ..ServeConfig::default()
         },
@@ -273,7 +271,6 @@ fn graceful_drain_answers_everything_already_admitted() {
             queue_depth: 8,
             deadline_ms: 60_000,
             batch_size: 1,
-            gen_threads: Some(1),
             cache_bytes: 0,
             ..ServeConfig::default()
         },

@@ -116,7 +116,7 @@ pub fn doc(rule: Rule) -> RuleDoc {
                         on cpgan-parallel's fixed chunking and index-ordered combining; \
                         ad-hoc threads bypass both.",
             example_bad: "std::thread::spawn(move || shard.train());",
-            example_good: "cpgan_parallel::map_chunks(&shards, train);",
+            example_good: "cpgan_parallel::Pool::global().par_map_owned(shards, |_, s| s.train());",
             suppression: "None — new parallel primitives belong in crates/parallel.",
         },
         Rule::AdHocTiming => RuleDoc {
@@ -125,7 +125,7 @@ pub fn doc(rule: Rule) -> RuleDoc {
             rationale: "Timing must stay discoverable and obs-gated (spans, Stopwatch) \
                         so measurement never leaks into library control flow.",
             example_bad: "let t0 = std::time::Instant::now();",
-            example_good: "let _span = cpgan_obs::span!(\"train.epoch\");",
+            example_good: "let _span = cpgan_obs::span(\"train.epoch\");",
             suppression: "None — crates/obs and crates/bench are the only clock readers.",
         },
         Rule::SleepPoll => RuleDoc {
