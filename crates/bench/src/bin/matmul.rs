@@ -16,7 +16,8 @@
 
 use bench::BenchMeta;
 use cpgan_nn::{kernels, Matrix};
-use std::fmt::Write as _;
+use serde::Serialize;
+use serde_json::json;
 use std::time::Instant;
 
 const SIZES: &[usize] = &[64, 128, 256, 448];
@@ -55,21 +56,20 @@ fn seed_matrix(rows: usize, cols: usize, offset: f32) -> Matrix {
     })
 }
 
+/// One kernel at one size, in GFLOP/s.
+#[derive(Serialize)]
 struct Row {
     kernel: &'static str,
     size: usize,
-    naive: f64,
-    blocked_serial: f64,
+    naive_gflops: f64,
+    blocked_serial_gflops: f64,
+    serial_ratio: f64,
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    let min_ratio = flag("--assert-min-ratio").and_then(|v| v.parse::<f64>().ok());
+    let min_ratio =
+        bench::flag::<f64>(&args, "--assert-min-ratio").unwrap_or_else(|e| bench::usage_error(&e));
     let meta = BenchMeta::capture(1);
     eprintln!("dense matmul: naive vs blocked, one thread...");
 
@@ -113,45 +113,24 @@ fn main() {
             let (t_naive, t_serial) = best_of_interleaved(reps, naive_f, blocked_f);
             let naive = flops / t_naive.max(1e-12) / 1e9;
             let blocked_serial = flops / t_serial.max(1e-12) / 1e9;
+            let ratio = blocked_serial / naive.max(1e-12);
             eprintln!(
                 "{kernel:>10} {s:>4}: naive {naive:7.3}  blocked {blocked_serial:7.3} GFLOP/s  \
-                 ratio {:.2}x",
-                blocked_serial / naive.max(1e-12)
+                 ratio {ratio:.2}x"
             );
             rows.push(Row {
                 kernel,
                 size: s,
-                naive,
-                blocked_serial,
+                naive_gflops: naive,
+                blocked_serial_gflops: blocked_serial,
+                serial_ratio: ratio,
             });
         }
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&meta.json_fields("  "));
-    json.push_str("  \"kernels\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"kernel\": \"{}\", \"size\": {}, \"naive_gflops\": {:.4}, \
-             \"blocked_serial_gflops\": {:.4}, \"serial_ratio\": {:.3}}}{comma}",
-            r.kernel,
-            r.size,
-            r.naive,
-            r.blocked_serial,
-            r.blocked_serial / r.naive.max(1e-12),
-        );
-    }
-    json.push_str("  ]\n}\n");
-
-    let out = "results/BENCH_matmul.json";
-    if let Err(e) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(out, &json)) {
-        eprintln!("failed to write {out}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out}");
+    let report = json!({"kernels": rows});
+    bench::write_report("results/BENCH_matmul.json", &meta, &report)
+        .unwrap_or_else(|e| bench::die(&e));
 
     if let Some(min) = min_ratio {
         let gate = rows
@@ -159,7 +138,7 @@ fn main() {
             .find(|r| r.kernel == "matmul" && r.size == GATE_SIZE);
         match gate {
             Some(r) => {
-                let ratio = r.blocked_serial / r.naive.max(1e-12);
+                let ratio = r.serial_ratio;
                 if ratio < min {
                     eprintln!(
                         "FAIL: blocked/naive ratio {ratio:.2} < {min:.2} \

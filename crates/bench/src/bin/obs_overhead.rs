@@ -14,7 +14,8 @@
 
 use bench::BenchMeta;
 use cpgan_nn::Matrix;
-use std::fmt::Write as _;
+use serde::Value;
+use serde_json::json;
 use std::time::Instant;
 
 /// Per-op nanoseconds for `f`, best of `reps` timed loops of `iters` calls.
@@ -33,11 +34,8 @@ fn ns_per_op(reps: usize, iters: u64, f: impl Fn()) -> f64 {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let max_pct = args
-        .iter()
-        .position(|a| a == "--assert-max-overhead-pct")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<f64>().ok());
+    let max_pct = bench::flag::<f64>(&args, "--assert-max-overhead-pct")
+        .unwrap_or_else(|e| bench::usage_error(&e));
 
     // The whole point is the disabled path; force it regardless of the
     // ambient environment so the numbers are what production code pays.
@@ -106,27 +104,19 @@ fn main() {
     );
 
     let meta = BenchMeta::capture(1);
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&meta.json_fields("  "));
-    json.push_str("  \"guards_disabled_ns_per_op\": {\n");
-    for (i, (name, ns)) in guards.iter().enumerate() {
-        let comma = if i + 1 < guards.len() { "," } else { "" };
-        let _ = writeln!(json, "    \"{name}\": {ns:.3}{comma}");
-    }
-    json.push_str("  },\n");
-    let _ = writeln!(json, "  \"kernel\": \"matmul_256x256\",");
-    let _ = writeln!(json, "  \"kernel_ns_per_call\": {kernel_ns:.1},");
-    let _ = writeln!(json, "  \"guards_per_kernel_call\": 2,");
-    let _ = writeln!(json, "  \"overhead_pct\": {overhead_pct:.5}");
-    json.push_str("}\n");
-
-    let out = "results/BENCH_obs_overhead.json";
-    if let Err(e) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(out, &json)) {
-        eprintln!("failed to write {out}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out}");
+    let guards_ns = guards
+        .iter()
+        .map(|&(name, ns)| (name.to_string(), Value::Float(ns)))
+        .collect();
+    let report = json!({
+        "guards_disabled_ns_per_op": Value::Object(guards_ns),
+        "kernel": "matmul_256x256",
+        "kernel_ns_per_call": kernel_ns,
+        "guards_per_kernel_call": 2,
+        "overhead_pct": overhead_pct,
+    });
+    bench::write_report("results/BENCH_obs_overhead.json", &meta, &report)
+        .unwrap_or_else(|e| bench::die(&e));
 
     if let Some(bound) = max_pct {
         if overhead_pct > bound {

@@ -12,7 +12,8 @@
 use bench::BenchMeta;
 use cpgan_graph::{stats::clustering, stats::path, Graph};
 use cpgan_parallel::with_thread_count;
-use std::fmt::Write as _;
+use serde::Serialize;
+use serde_json::json;
 use std::time::Instant;
 
 /// Best-of-`reps` wall-clock seconds for `f`.
@@ -43,16 +44,22 @@ fn bench_graph(n: u32) -> Graph {
 /// A named, owned benchmark closure.
 type Kernel = Box<dyn Fn()>;
 
+/// One kernel's best-of wall-clock at one thread and at `threads`.
+#[derive(Serialize)]
+struct Row {
+    name: &'static str,
+    serial_s: f64,
+    parallel_s: f64,
+    speedup: f64,
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let flag_threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok());
+    let flag_threads =
+        bench::flag::<usize>(&args, "--threads").unwrap_or_else(|e| bench::usage_error(&e));
     // On a single-core box `available_parallelism() == 1` and defaulting the
     // "parallel" leg to it silently benchmarks serial-vs-serial, reporting
     // speedups below 1.0 (pure overhead). Force an explicit oversubscribed
@@ -79,7 +86,7 @@ fn main() {
     let g_big = bench_graph(60_000);
     let g_mid = bench_graph(4_000);
 
-    let kernels: Vec<(&str, Kernel)> = vec![
+    let kernels: Vec<(&'static str, Kernel)> = vec![
         (
             "clustering",
             Box::new(move || {
@@ -102,33 +109,15 @@ fn main() {
         eprintln!(
             "{name:>10}: serial {serial:.4}s  parallel {parallel:.4}s  speedup {speedup:.2}x"
         );
-        rows.push((*name, serial, parallel, speedup));
+        rows.push(Row {
+            name,
+            serial_s: serial,
+            parallel_s: parallel,
+            speedup,
+        });
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&meta.json_fields("  "));
-    match warning {
-        Some(w) => {
-            let _ = writeln!(json, "  \"warning\": \"{w}\",");
-        }
-        None => json.push_str("  \"warning\": null,\n"),
-    }
-    json.push_str("  \"kernels\": [\n");
-    for (i, (name, serial, parallel, speedup)) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{name}\", \"serial_s\": {serial:.6}, \
-             \"parallel_s\": {parallel:.6}, \"speedup\": {speedup:.3}}}{comma}"
-        );
-    }
-    json.push_str("  ]\n}\n");
-
-    let out = "results/BENCH_parallel.json";
-    if let Err(e) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(out, &json)) {
-        eprintln!("failed to write {out}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out}");
+    let report = json!({"warning": warning, "kernels": rows});
+    bench::write_report("results/BENCH_parallel.json", &meta, &report)
+        .unwrap_or_else(|e| bench::die(&e));
 }

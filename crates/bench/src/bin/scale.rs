@@ -19,20 +19,28 @@ use bench::BenchMeta;
 use cpgan::CpGanConfig;
 use cpgan_data::planted::{self, PlantedConfig};
 use cpgan_parallel::with_thread_count;
-use cpgan_shard::{ShardConfig, ShardPipeline, ShardReport};
-use std::fmt::Write as _;
+use cpgan_shard::{ShardConfig, ShardPipeline};
+use serde::Serialize;
+use serde_json::json;
 use std::time::Instant;
 
 /// Per-wave scheduling budget every leg runs under (stated in the report).
 const MEMORY_BUDGET_BYTES: usize = 512 << 20; // 512 MiB
 
+/// One pipeline run at one graph size.
+#[derive(Serialize)]
 struct LegResult {
     nodes: usize,
     edges_in: usize,
     edges_out: usize,
-    report: ShardReport,
+    shards: usize,
+    waves: usize,
     secs: f64,
-    measured_peak_bytes: usize,
+    nodes_per_sec: f64,
+    edges_per_sec: f64,
+    scheduled_peak_bytes: usize,
+    measured_nn_peak_bytes: usize,
+    within_budget: bool,
 }
 
 /// Planted graph sized so community scale roughly matches the shard budget.
@@ -86,27 +94,29 @@ fn run_leg(n: usize) -> Option<LegResult> {
         }
     };
     let secs = start.elapsed().as_secs_f64();
+    let edges_out = report.graph.m();
     Some(LegResult {
         nodes: n,
         edges_in: g.m(),
-        edges_out: report.graph.m(),
-        measured_peak_bytes: cpgan_nn::memory::peak_bytes(),
-        report,
+        edges_out,
+        shards: report.shards,
+        waves: report.waves,
         secs,
+        nodes_per_sec: n as f64 / secs,
+        edges_per_sec: edges_out as f64 / secs,
+        scheduled_peak_bytes: report.peak_estimate_bytes,
+        measured_nn_peak_bytes: cpgan_nn::memory::peak_bytes(),
+        within_budget: report.peak_estimate_bytes <= MEMORY_BUDGET_BYTES,
     })
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let flag_threads = flag("--threads").and_then(|v| v.parse::<usize>().ok());
+    let flag_threads =
+        bench::flag::<usize>(&args, "--threads").unwrap_or_else(|e| bench::usage_error(&e));
     // Same convention as BENCH_parallel: on a single-core box the default
     // "parallel" fan-out silently degenerates to serial execution, so force
     // oversubscription and flag the run — throughput then includes
@@ -123,10 +133,11 @@ fn main() {
             ),
         ),
     };
-    let max_nodes = flag("--max-nodes")
-        .and_then(|v| v.parse::<usize>().ok())
+    let max_nodes = bench::flag::<usize>(&args, "--max-nodes")
+        .unwrap_or_else(|e| bench::usage_error(&e))
         .unwrap_or(usize::MAX);
-    let min_nps = flag("--assert-min-nodes-per-sec").and_then(|v| v.parse::<f64>().ok());
+    let min_nps = bench::flag::<f64>(&args, "--assert-min-nodes-per-sec")
+        .unwrap_or_else(|e| bench::usage_error(&e));
 
     let meta = BenchMeta::capture(threads);
     if let Some(w) = warning {
@@ -152,14 +163,14 @@ fn main() {
              {} shards / {} waves  sched peak {} MiB, measured nn peak {} MiB",
             leg.nodes,
             leg.secs,
-            leg.nodes as f64 / leg.secs,
-            leg.edges_out as f64 / leg.secs,
-            leg.report.shards,
-            leg.report.waves,
-            leg.report.peak_estimate_bytes >> 20,
-            leg.measured_peak_bytes >> 20,
+            leg.nodes_per_sec,
+            leg.edges_per_sec,
+            leg.shards,
+            leg.waves,
+            leg.scheduled_peak_bytes >> 20,
+            leg.measured_nn_peak_bytes >> 20,
         );
-        if leg.report.peak_estimate_bytes > MEMORY_BUDGET_BYTES {
+        if !leg.within_budget {
             eprintln!(
                 "NOTE: scheduled peak exceeds the wave budget at n={} — an \
                  indivisible shard was larger than the budget",
@@ -174,55 +185,20 @@ fn main() {
         std::process::exit(1);
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&meta.json_fields("  "));
-    match warning {
-        Some(w) => {
-            let _ = writeln!(json, "  \"warning\": \"{w}\",");
-        }
-        None => json.push_str("  \"warning\": null,\n"),
-    }
-    let _ = writeln!(json, "  \"memory_budget_bytes\": {MEMORY_BUDGET_BYTES},");
-    json.push_str("  \"legs\": [\n");
-    for (i, leg) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"nodes\": {}, \"edges_in\": {}, \"edges_out\": {}, \
-             \"shards\": {}, \"waves\": {}, \"secs\": {:.4}, \
-             \"nodes_per_sec\": {:.1}, \"edges_per_sec\": {:.1}, \
-             \"scheduled_peak_bytes\": {}, \"measured_nn_peak_bytes\": {}, \
-             \"within_budget\": {}}}{comma}",
-            leg.nodes,
-            leg.edges_in,
-            leg.edges_out,
-            leg.report.shards,
-            leg.report.waves,
-            leg.secs,
-            leg.nodes as f64 / leg.secs,
-            leg.edges_out as f64 / leg.secs,
-            leg.report.peak_estimate_bytes,
-            leg.measured_peak_bytes,
-            leg.report.peak_estimate_bytes <= MEMORY_BUDGET_BYTES,
-        );
-    }
-    json.push_str("  ]\n}\n");
-
-    let out = "results/BENCH_scale.json";
-    if let Err(e) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(out, &json)) {
-        eprintln!("failed to write {out}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out}");
+    let report = json!({
+        "warning": warning,
+        "memory_budget_bytes": MEMORY_BUDGET_BYTES,
+        "legs": results,
+    });
+    bench::write_report("results/BENCH_scale.json", &meta, &report)
+        .unwrap_or_else(|e| bench::die(&e));
 
     if let Some(min) = min_nps {
         for leg in &results {
-            let nps = leg.nodes as f64 / leg.secs;
-            if nps < min {
+            if leg.nodes_per_sec < min {
                 eprintln!(
                     "FAIL: n={} ran at {:.0} nodes/s, below the {min:.0} floor",
-                    leg.nodes, nps
+                    leg.nodes, leg.nodes_per_sec
                 );
                 std::process::exit(1);
             }

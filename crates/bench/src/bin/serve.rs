@@ -25,13 +25,14 @@
 //! on the `keepalive_c128_cached` scenario (exit 1 on violation) after
 //! the report is written, so the artifact survives a failed gate.
 
-use bench::BenchMeta;
+use bench::{die, BenchMeta};
 use cpgan::{CpGan, CpGanConfig};
 use cpgan_graph::Graph;
 use cpgan_parallel::{with_thread_count, Pool};
 use cpgan_serve::http::parse_reply;
 use cpgan_serve::{ModelRegistry, ServeConfig, Server};
-use std::fmt::Write as _;
+use serde::Serialize;
+use serde_json::json;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -49,11 +50,6 @@ const SEED_POOL: u64 = 16;
 /// the reference box; kept in the report so the keep-alive ratio is
 /// visible without digging through git history.
 const PR5_CLOSE_RPS: f64 = 450.0;
-
-fn die(msg: &str) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(1);
-}
 
 /// The 3-community fixture graph used across the test suite.
 fn bench_graph() -> Graph {
@@ -119,7 +115,12 @@ impl HttpClient {
         } else {
             ""
         };
-        let body = format!("{{\"nodes\":{GEN_NODES},\"edges\":{GEN_EDGES},\"seed\":{seed}}}");
+        let body = serde_json::to_string(&json!({
+            "nodes": GEN_NODES,
+            "edges": GEN_EDGES,
+            "seed": seed,
+        }))
+        .map_err(std::io::Error::other)?;
         let wire = format!(
             "POST /v1/generate HTTP/1.1\r\nhost: b\r\n{conn}content-length: {}\r\n\r\n{body}",
             body.len()
@@ -205,6 +206,7 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
+#[derive(Serialize)]
 struct ScenarioRow {
     name: String,
     clients: usize,
@@ -357,16 +359,12 @@ const SCENARIOS: &[Scenario] = &[
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
+    let flag =
+        |name: &str| bench::flag::<f64>(&args, name).unwrap_or_else(|e| bench::usage_error(&e));
     let fast = args.iter().any(|a| a == "--fast");
-    let min_rps = flag("--assert-min-rps").and_then(|v| v.parse::<f64>().ok());
-    let max_p99_ms = flag("--assert-max-p99-ms").and_then(|v| v.parse::<f64>().ok());
-    let min_cached_over_cold =
-        flag("--assert-min-cached-over-cold").and_then(|v| v.parse::<f64>().ok());
+    let min_rps = flag("--assert-min-rps");
+    let max_p99_ms = flag("--assert-max-p99-ms");
+    let min_cached_over_cold = flag("--assert-min-cached-over-cold");
     let window = if fast {
         Duration::from_millis(400)
     } else {
@@ -441,63 +439,18 @@ fn main() {
          vs PR-5 baseline {keepalive_over_pr5:.1}x"
     );
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&meta.json_fields("  "));
-    let _ = writeln!(json, "  \"fast\": {fast},");
-    match warning {
-        Some(w) => {
-            let _ = writeln!(json, "  \"warning\": \"{w}\",");
-        }
-        None => json.push_str("  \"warning\": null,\n"),
-    }
-    let _ = writeln!(json, "  \"gen_nodes\": {GEN_NODES},");
-    let _ = writeln!(json, "  \"gen_edges\": {GEN_EDGES},");
-    let _ = writeln!(json, "  \"baseline_pr5_close_rps\": {PR5_CLOSE_RPS:.1},");
-    let _ = writeln!(json, "  \"cached_over_cold\": {cached_over_cold:.2},");
-    let _ = writeln!(
-        json,
-        "  \"keepalive_over_close\": {keepalive_over_close:.2},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"keepalive_over_pr5_baseline\": {keepalive_over_pr5:.2},"
-    );
-    json.push_str("  \"scenarios\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"clients\": {}, \"workers\": {}, \
-             \"queue_depth\": {}, \"cache\": {}, \"duration_s\": {:.3}, \
-             \"requests\": {}, \"ok\": {}, \"rejected\": {}, \"timed_out\": {}, \
-             \"errors\": {}, \"throughput_rps\": {:.2}, \"p50_ms\": {:.3}, \
-             \"p95_ms\": {:.3}, \"p99_ms\": {:.3}, \"rejection_rate\": {:.4}}}{comma}",
-            r.name,
-            r.clients,
-            r.workers,
-            r.queue_depth,
-            r.cache,
-            r.duration_s,
-            r.requests,
-            r.ok,
-            r.rejected,
-            r.timed_out,
-            r.errors,
-            r.throughput_rps,
-            r.p50_ms,
-            r.p95_ms,
-            r.p99_ms,
-            r.rejection_rate,
-        );
-    }
-    json.push_str("  ]\n}\n");
-
-    let out = "results/BENCH_serve.json";
-    if let Err(e) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(out, &json)) {
-        die(&format!("failed to write {out}: {e}"));
-    }
-    eprintln!("wrote {out}");
+    let report = json!({
+        "fast": fast,
+        "warning": warning,
+        "gen_nodes": GEN_NODES,
+        "gen_edges": GEN_EDGES,
+        "baseline_pr5_close_rps": PR5_CLOSE_RPS,
+        "cached_over_cold": cached_over_cold,
+        "keepalive_over_close": keepalive_over_close,
+        "keepalive_over_pr5_baseline": keepalive_over_pr5,
+        "scenarios": rows,
+    });
+    bench::write_report("results/BENCH_serve.json", &meta, &report).unwrap_or_else(|e| die(&e));
 
     // Gates run after the report is written so the artifact survives a
     // failed assertion (same order as the scale bench).

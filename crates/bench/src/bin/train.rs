@@ -26,7 +26,7 @@ use cpgan_nn::optim::{Adam, Optimizer};
 use cpgan_nn::{Csr, FusedAct, Matrix, ParamStore, Tape, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::fmt::Write as _;
+use serde_json::json;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -146,11 +146,8 @@ fn time_once(f: impl FnOnce()) -> f64 {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let min_ratio = args
-        .iter()
-        .position(|a| a == "--assert-min-ratio")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<f64>().ok());
+    let min_ratio =
+        bench::flag::<f64>(&args, "--assert-min-ratio").unwrap_or_else(|e| bench::usage_error(&e));
     let meta = BenchMeta::capture(1);
     eprintln!(
         "subgraph training: unfused/unbatched vs fused/batched, \
@@ -186,31 +183,24 @@ fn main() {
     let ratio = fused_eps / unfused_eps.max(1e-12);
     eprintln!("unfused {unfused_eps:7.2}  fused {fused_eps:7.2} epochs/s  ratio {ratio:.2}x");
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&meta.json_fields("  "));
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"nodes\": {}, \"sample_size\": {SAMPLE_SIZE}, \
-         \"batch_size\": {BATCH_SIZE}, \"feature_dim\": {FEATURE_DIM}, \
-         \"hidden_dim\": {HIDDEN_DIM}, \"latent_dim\": {LATENT_DIM}, \
-         \"epochs_per_rep\": {EPOCHS_PER_REP}}},",
-        2 * BLOCK
-    );
-    let _ = writeln!(
-        json,
-        "  \"train\": {{\"unfused_serial_eps\": {unfused_eps:.4}, \
-         \"fused_serial_eps\": {fused_eps:.4}, \
-         \"fused_vs_unfused_ratio\": {ratio:.3}}}"
-    );
-    json.push_str("}\n");
-
-    let out = "results/BENCH_train.json";
-    if let Err(e) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(out, &json)) {
-        eprintln!("failed to write {out}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out}");
+    let report = json!({
+        "config": json!({
+            "nodes": 2 * BLOCK,
+            "sample_size": SAMPLE_SIZE,
+            "batch_size": BATCH_SIZE,
+            "feature_dim": FEATURE_DIM,
+            "hidden_dim": HIDDEN_DIM,
+            "latent_dim": LATENT_DIM,
+            "epochs_per_rep": EPOCHS_PER_REP,
+        }),
+        "train": json!({
+            "unfused_serial_eps": unfused_eps,
+            "fused_serial_eps": fused_eps,
+            "fused_vs_unfused_ratio": ratio,
+        }),
+    });
+    bench::write_report("results/BENCH_train.json", &meta, &report)
+        .unwrap_or_else(|e| bench::die(&e));
 
     if let Some(min) = min_ratio {
         if ratio < min {

@@ -190,9 +190,8 @@ fn do_verify(args: &DataArgs) -> Result<(), String> {
         reports.push(report);
     }
     if let Some(path) = &args.report {
-        let json: Vec<String> = reports.iter().map(verify::VerifyReport::to_json).collect();
-        std::fs::write(path, format!("[{}]\n", json.join(",")))
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        let json = serde_json::to_string(&reports).map_err(|e| format!("report: {e}"))?;
+        std::fs::write(path, json + "\n").map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("report written to {path}");
     }
     if all_pass {

@@ -151,3 +151,35 @@ fn serve_rejects_threads() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--workers"), "{stderr}");
 }
+
+#[test]
+fn data_verify_writes_a_parseable_report() {
+    let data_dir = tmp("verify_data_cache");
+    let report = tmp("verify_report.json");
+    let _ = std::fs::remove_file(&report);
+    let out = Command::new(bin())
+        .args([
+            "data",
+            "verify",
+            "--offline",
+            "citeseer-fixture",
+            "--report",
+        ])
+        .arg(&report)
+        .arg("--data-dir")
+        .arg(&data_dir)
+        .output()
+        .expect("run cpgan data verify");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&report).expect("report written");
+    let value: serde_json::Value = serde_json::from_str(&text).expect("report parses");
+    let serde_json::Value::Array(rows) = value else {
+        panic!("report must be an array: {text}");
+    };
+    assert_eq!(rows.len(), 1, "{text}");
+    assert_eq!(rows[0].get("passed"), Some(&serde_json::Value::Bool(true)));
+}

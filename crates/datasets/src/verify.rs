@@ -28,6 +28,8 @@
 use crate::registry::DatasetEntry;
 use cpgan_graph::stats::{gini, path, powerlaw};
 use cpgan_graph::Graph;
+use serde::{Serialize, Value};
+use serde_json::json;
 
 /// Default BFS-source cap for the CPL measurement. 512 evenly-spaced
 /// sources keep verification fast on large graphs while staying exact on
@@ -90,22 +92,27 @@ impl VerifyReport {
 
     /// Machine-readable JSON (one object, checks as an array).
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"dataset\":\"{}\",\"passed\":{},\"checks\":[",
-            self.dataset,
-            self.passed()
-        );
-        for (i, c) in self.checks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"stat\":\"{}\",\"reference\":{},\"measured\":{},\"tolerance\":{},\"pass\":{}}}",
-                c.stat, c.reference, c.measured, c.tolerance, c.pass
-            ));
-        }
-        out.push_str("]}");
-        out
+        // Non-finite values become `null`, so rendering cannot fail.
+        serde_json::to_string(self).unwrap_or_default()
+    }
+}
+
+impl Serialize for VerifyReport {
+    fn to_value(&self) -> Value {
+        let checks: Vec<Value> = self
+            .checks
+            .iter()
+            .map(|c| {
+                json!({
+                    "stat": c.stat,
+                    "reference": Value::from(c.reference),
+                    "measured": Value::from(c.measured),
+                    "tolerance": Value::from(c.tolerance),
+                    "pass": c.pass,
+                })
+            })
+            .collect();
+        json!({"dataset": self.dataset, "passed": self.passed(), "checks": checks})
     }
 }
 
@@ -170,6 +177,25 @@ mod tests {
         assert!(json.contains("\"passed\":false"));
         assert!(json.contains("\"stat\":\"gini\""));
         assert!(json.contains("\"reference\":0.5"));
+    }
+
+    #[test]
+    fn json_round_trips_a_quoted_dataset_name() {
+        let report = VerifyReport {
+            dataset: "to\"y".to_string(),
+            checks: vec![check("pwe", 2.5, f64::NAN, 0.1)],
+        };
+        let back: Value = serde_json::from_str(&report.to_json()).unwrap();
+        assert_eq!(back.get("dataset"), Some(&Value::Str("to\"y".to_string())));
+        assert_eq!(back.get("passed"), Some(&Value::Bool(false)));
+        let Some(Value::Array(checks)) = back.get("checks") else {
+            panic!("checks must be an array: {back:?}");
+        };
+        assert_eq!(
+            checks[0].get("reference").and_then(Value::as_f64),
+            Some(2.5)
+        );
+        assert_eq!(checks[0].get("measured"), Some(&Value::Null));
     }
 
     #[test]

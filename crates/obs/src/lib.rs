@@ -3,8 +3,9 @@
 
 //! Zero-overhead observability for the CPGAN workspace.
 //!
-//! `cpgan-obs` is a self-contained, dependency-free instrumentation layer
-//! (see DESIGN.md §9) with four ingredients:
+//! `cpgan-obs` is a self-contained instrumentation layer (see DESIGN.md §9)
+//! that depends only on the in-repo serde shims, which render its JSON
+//! sinks. It has four ingredients:
 //!
 //! * **hierarchical span timers** — [`span`] returns an RAII guard; nested
 //!   guards form a path (`core.fit/core.epoch/nn.backward`) aggregated by

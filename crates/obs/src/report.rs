@@ -2,6 +2,8 @@
 
 use crate::collect::SpanStat;
 use crate::metrics::Hist;
+use serde::{Serialize, Value};
+use serde_json::json;
 use std::collections::BTreeMap;
 
 /// A merged snapshot of everything every thread recorded.
@@ -62,64 +64,26 @@ impl Report {
     /// Everything except `_ns`-suffixed fields and the `meta` line is
     /// thread-count invariant; the determinism suite strips exactly those.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
         let threads = std::env::var("CPGAN_THREADS").unwrap_or_default();
-        out.push_str(&format!(
-            "{{\"t\":\"meta\",\"cpgan_threads\":{}}}\n",
-            json_str(&threads)
-        ));
+        let mut lines = vec![json!({"t": "meta", "cpgan_threads": threads})];
         for (path, s) in &self.spans {
-            out.push_str(&format!(
-                "{{\"t\":\"span\",\"path\":{},\"count\":{},\"total_ns\":{}}}\n",
-                json_str(path),
-                s.count,
-                s.total_ns
-            ));
+            lines.push(entry("span", "path", path, span_value(s)));
         }
-        for (name, v) in &self.counters {
-            out.push_str(&format!(
-                "{{\"t\":\"counter\",\"name\":{},\"value\":{}}}\n",
-                json_str(name),
-                v
-            ));
+        for (name, &v) in &self.counters {
+            lines.push(entry("counter", "name", name, json!({"value": v})));
         }
         for (name, &(_, v)) in &self.gauges {
-            out.push_str(&format!(
-                "{{\"t\":\"gauge\",\"name\":{},\"value\":{}}}\n",
-                json_str(name),
-                json_f64(v)
-            ));
+            let v = Value::from(v);
+            lines.push(entry("gauge", "name", name, json!({"value": v})));
         }
         for (name, h) in &self.hists {
-            let buckets: Vec<String> = h
-                .buckets
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c > 0)
-                .map(|(i, c)| format!("[{i},{c}]"))
-                .collect();
-            out.push_str(&format!(
-                "{{\"t\":\"hist\",\"name\":{},\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[{}]}}\n",
-                json_str(name),
-                h.count,
-                json_f64(h.sum),
-                json_f64(h.min),
-                json_f64(h.max),
-                buckets.join(",")
-            ));
+            lines.push(entry("hist", "name", name, hist_value(h)));
         }
         for (name, points) in &self.series {
-            let pts: Vec<String> = points
-                .iter()
-                .map(|&(step, v)| format!("[{},{}]", step, json_f64(v)))
-                .collect();
-            out.push_str(&format!(
-                "{{\"t\":\"series\",\"name\":{},\"points\":[{}]}}\n",
-                json_str(name),
-                pts.join(",")
-            ));
+            let points = series_value(points);
+            lines.push(entry("series", "name", name, json!({"points": points})));
         }
-        out
+        lines.iter().map(|line| render(line) + "\n").collect()
     }
 
     /// Renders the report as one JSON object —
@@ -129,67 +93,13 @@ impl Report {
     /// `GET /metrics` endpoint). Key order is the `BTreeMap` order, so
     /// the rendering is deterministic.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"spans\":{");
-        for (i, (path, s)) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{}:{{\"count\":{},\"total_ns\":{}}}",
-                json_str(path),
-                s.count,
-                s.total_ns
-            ));
-        }
-        out.push_str("},\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{v}", json_str(name)));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, &(_, v))) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{}", json_str(name), json_f64(v)));
-        }
-        out.push_str("},\"hists\":{");
-        for (i, (name, h)) in self.hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let buckets: Vec<String> = h
-                .buckets
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c > 0)
-                .map(|(b, c)| format!("[{b},{c}]"))
-                .collect();
-            out.push_str(&format!(
-                "{}:{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[{}]}}",
-                json_str(name),
-                h.count,
-                json_f64(h.sum),
-                json_f64(h.min),
-                json_f64(h.max),
-                buckets.join(",")
-            ));
-        }
-        out.push_str("},\"series\":{");
-        for (i, (name, points)) in self.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let pts: Vec<String> = points
-                .iter()
-                .map(|&(step, v)| format!("[{step},{}]", json_f64(v)))
-                .collect();
-            out.push_str(&format!("{}:[{}]", json_str(name), pts.join(",")));
-        }
-        out.push_str("}}");
-        out
+        render(&json!({
+            "spans": object(&self.spans, span_value),
+            "counters": object(&self.counters, |&v| Value::UInt(v)),
+            "gauges": object(&self.gauges, |&(_, v)| Value::from(v)),
+            "hists": object(&self.hists, hist_value),
+            "series": object(&self.series, |points| series_value(points)),
+        }))
     }
 
     /// Renders a deterministic human-readable summary: spans as an indented
@@ -285,33 +195,58 @@ pub fn finish(default_out: Option<&str>) {
     eprint!("{}", report.summary_tree());
 }
 
-/// JSON string literal (quotes + escapes) for a key/name.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+fn span_value(s: &SpanStat) -> Value {
+    json!({"count": s.count, "total_ns": s.total_ns})
 }
 
-/// Canonical JSON rendering of an f64 (shortest round-trip form; non-finite
-/// values become `null` since JSON has no representation for them).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+/// Non-finite `sum`/`min`/`max` (an empty histogram's infinities) become
+/// `null`; only non-empty buckets are listed, as `[index, count]` pairs.
+fn hist_value(h: &Hist) -> Value {
+    let buckets: Vec<(usize, u64)> = h
+        .buckets
+        .iter()
+        .enumerate()
+        .filter(|&(_, &c)| c > 0)
+        .map(|(i, &c)| (i, c))
+        .collect();
+    json!({
+        "count": h.count,
+        "sum": Value::from(h.sum),
+        "min": Value::from(h.min),
+        "max": Value::from(h.max),
+        "buckets": buckets,
+    })
+}
+
+fn series_value(points: &[(u64, f64)]) -> Value {
+    Value::Array(
+        points
+            .iter()
+            .map(|&(step, v)| Value::Array(vec![Value::UInt(step), Value::from(v)]))
+            .collect(),
+    )
+}
+
+/// A JSONL line: the `"t"` tag and the entry's name ahead of `body`'s fields.
+fn entry(t: &str, key: &str, name: &str, body: Value) -> Value {
+    let mut fields = vec![
+        ("t".to_string(), t.to_value()),
+        (key.to_string(), name.to_value()),
+    ];
+    if let Value::Object(rest) = body {
+        fields.extend(rest);
     }
+    Value::Object(fields)
+}
+
+fn object<T>(map: &BTreeMap<String, T>, value: impl Fn(&T) -> Value) -> Value {
+    Value::Object(map.iter().map(|(k, v)| (k.clone(), value(v))).collect())
+}
+
+/// Compact JSON text. Cannot fail: every float went through
+/// `Value::from(f64)`, which turns the non-finite ones into `null`.
+fn render(value: &Value) -> String {
+    serde_json::to_string(value).unwrap_or_default()
 }
 
 /// Human-readable duration from nanoseconds.
@@ -332,11 +267,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_helpers() {
-        assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_f64(1.5), "1.5");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
+    fn sinks_escape_names_and_null_non_finite_values() {
+        let mut r = Report::default();
+        let path = "a\"q\\b\nc";
+        r.spans.insert(
+            path.to_string(),
+            crate::collect::SpanStat {
+                count: 2,
+                total_ns: 9,
+            },
+        );
+        r.gauges.insert("g".to_string(), (1, f64::NAN));
+        r.hists.insert("empty".to_string(), Hist::default());
+        let jsonl = r.to_jsonl();
+        let lines: Vec<Value> = jsonl
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
+        assert_eq!(lines.len(), 4, "{jsonl}");
+        let span = json!({"count": 2i64, "total_ns": 9i64});
+        assert_eq!(lines[1], entry("span", "path", path, span.clone()));
+        assert_eq!(lines[2].get("value"), Some(&Value::Null));
+        assert_eq!(lines[3].get("min"), Some(&Value::Null));
+        let doc: Value = serde_json::from_str(&r.to_json()).unwrap();
+        assert_eq!(doc.get("spans").and_then(|s| s.get(path)), Some(&span));
+        assert_eq!(doc.get("gauges").unwrap().get("g"), Some(&Value::Null));
     }
 
     #[test]
@@ -399,7 +354,7 @@ mod tests {
         assert!(json.contains("\"counters\":{\"jobs\":7}"), "{json}");
         assert!(json.contains("\"gauges\":{\"depth\":2.5}"), "{json}");
         assert!(json.contains("\"lat\":{\"count\":1,"), "{json}");
-        assert!(json.contains("\"series\":{\"loss\":[[0,1]]}"), "{json}");
+        assert!(json.contains("\"series\":{\"loss\":[[0,1.0]]}"), "{json}");
         assert!(json.ends_with("}}"), "{json}");
         // An empty report is still a complete, parseable object.
         let empty = Report::default().to_json();

@@ -5,9 +5,9 @@
 //!
 //! The only command today is `lint`: a custom static analyzer enforcing the
 //! workspace's panic-safety, determinism, and numeric-safety policies (see
-//! DESIGN.md §7, §8 and §12). It is intentionally dependency-free — a
-//! hand-rolled lexer plus token-walking rules, not a full parser — so it
-//! builds instantly and runs offline.
+//! DESIGN.md §7, §8 and §12). It depends only on the in-repo serde shims
+//! (for `--json`) — a hand-rolled lexer plus token-walking rules, not a
+//! full parser — so it builds instantly and runs offline.
 //!
 //! Pipeline:
 //!
@@ -36,6 +36,8 @@ pub mod rules;
 pub mod scan;
 pub mod walk;
 
+use serde::{Serialize, Value};
+use serde_json::json;
 use std::fmt;
 
 /// The rules enforced by `cargo xtask lint`.
@@ -216,37 +218,24 @@ impl fmt::Display for Violation {
     }
 }
 
-impl Violation {
-    /// Renders the violation as a JSON object (for `--json` mode).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"file\":\"{}\",\"line\":{},\"col\":{},\"rule\":\"{}\",\
-             \"family\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\"}}",
-            json_escape(&self.file),
-            self.line,
-            self.col,
-            self.rule,
-            self.rule.family(),
-            self.rule.severity().name(),
-            json_escape(&self.message)
-        )
+impl Serialize for Violation {
+    fn to_value(&self) -> Value {
+        json!({
+            "file": self.file,
+            "line": self.line,
+            "col": self.col,
+            "rule": self.rule.name(),
+            "family": self.rule.family(),
+            "severity": self.rule.severity().name(),
+            "message": self.message,
+        })
     }
 }
 
-/// Minimal JSON string escaping (the lint emits ASCII paths and messages).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
+impl Violation {
+    /// Renders the violation as a JSON object (for `--json` mode).
+    pub fn to_json(&self) -> String {
+        // Strings and integers only, so rendering cannot fail.
+        serde_json::to_string(self).unwrap_or_default()
     }
-    out
 }

@@ -145,8 +145,8 @@ fn run_lint(json: bool, update: bool) -> Result<ExitCode, String> {
     let stale_fail = !report.stale.is_empty();
 
     if json {
-        let rows: Vec<String> = report.new_violations.iter().map(|v| v.to_json()).collect();
-        println!("[{}]", rows.join(","));
+        let rows = serde_json::to_string(&report.new_violations).map_err(|e| e.to_string())?;
+        println!("{rows}");
         for (file, rule, allowed, current) in &report.stale {
             eprintln!(
                 "error: stale baseline entry: {file}: `{rule}` tolerates {allowed} but \

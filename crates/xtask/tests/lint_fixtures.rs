@@ -251,6 +251,27 @@ fn violation_display_format() {
 }
 
 #[test]
+fn violation_json_round_trips_a_quoted_message() {
+    let v = Violation {
+        file: "crates/a/src/lib.rs".to_string(),
+        line: 3,
+        col: 9,
+        rule: Rule::NoUnwrap,
+        message: "replace \"x.unwrap()\" with `?`\\n".to_string(),
+    };
+    let back: serde::Value = serde_json::from_str(&v.to_json()).unwrap();
+    assert_eq!(
+        back.get("message"),
+        Some(&serde::Value::Str(v.message.clone()))
+    );
+    assert_eq!(back.get("line").and_then(serde::Value::as_u64), Some(3));
+    assert_eq!(
+        back.get("rule"),
+        Some(&serde::Value::Str("no-unwrap".to_string()))
+    );
+}
+
+#[test]
 fn baseline_round_trips_through_render_and_parse() {
     let mut findings = scan_fixture("unwrap_expect.rs");
     findings.extend(scan_fixture("panics.rs"));

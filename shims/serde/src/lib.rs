@@ -96,6 +96,18 @@ impl Value {
     }
 }
 
+impl From<f64> for Value {
+    /// A float value, or [`Value::Null`] for NaN and the infinities, which
+    /// JSON cannot represent (as `serde_json::Value::from` does).
+    fn from(v: f64) -> Self {
+        if v.is_finite() {
+            Value::Float(v)
+        } else {
+            Value::Null
+        }
+    }
+}
+
 /// Deserialization error types.
 pub mod de {
     /// Error produced while converting a [`crate::Value`] into a typed value.
@@ -412,6 +424,13 @@ mod tests {
             <(u32, String, f64)>::from_value(&tup.to_value()).unwrap(),
             tup
         );
+    }
+
+    #[test]
+    fn non_finite_float_converts_to_null() {
+        assert_eq!(Value::from(1.5), Value::Float(1.5));
+        assert_eq!(Value::from(f64::NAN), Value::Null);
+        assert_eq!(Value::from(f64::NEG_INFINITY), Value::Null);
     }
 
     #[test]

@@ -3,16 +3,37 @@
 //! Renders the serde shim's [`serde::Value`] model to JSON text and parses
 //! JSON text back, exposing the entry points this workspace uses:
 //! [`to_writer`], [`to_writer_pretty`], [`to_string`], [`to_string_pretty`],
-//! [`from_reader`], [`from_str`] and [`Error`].
+//! [`from_reader`], [`from_str`], [`json!`] and [`Error`].
 //!
 //! Number handling matches what the workspace needs for lossless round-trips:
 //! `u64`/`i64` are printed as integers, floats via Rust's shortest-round-trip
-//! `Display`, and non-finite floats are rejected (as real serde_json does).
+//! `Display`, and non-finite floats are rejected. Callers that want `null`
+//! for them convert with `Value::from(f64)` first.
+//!
+//! This is the workspace's one JSON writer: all of its JSON is rendered
+//! here, and `escape_into` is the only string escaper.
 
 #![forbid(unsafe_code)]
 
-use serde::{Deserialize, Serialize, Value};
+pub use serde::Value;
+use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
+
+#[doc(hidden)]
+pub use serde::Serialize as __Serialize;
+
+/// Builds a JSON object [`Value`] from `{ "key": expr, ... }`, keeping the
+/// keys in the order written. Each `expr` is any `Serialize` value; nested
+/// objects are nested `json!` calls. This is the object form of real
+/// `serde_json::json!`.
+#[macro_export]
+macro_rules! json {
+    ({ $($key:literal : $value:expr),* $(,)? }) => {
+        $crate::Value::Object(::std::vec![
+            $((::std::string::String::from($key), $crate::__Serialize::to_value(&$value))),*
+        ])
+    };
+}
 
 /// JSON (de)serialization error.
 #[derive(Debug)]
@@ -50,6 +71,7 @@ impl From<serde::de::Error> for Error {
 
 // ---------------------------------------------------------------- rendering
 
+/// Appends `s` to `out` as a quoted, escaped JSON string literal.
 fn escape_into(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
@@ -440,6 +462,16 @@ mod tests {
             let back: f32 = from_str(&text).unwrap();
             assert_eq!(back, x, "{text}");
         }
+    }
+
+    #[test]
+    fn json_macro_keeps_key_order() {
+        let inner = json!({"x": 1.5});
+        let v = json!({"b": 1u32, "a": "s", "n": Option::<u32>::None, "o": inner,});
+        assert_eq!(
+            to_string(&v).unwrap(),
+            "{\"b\":1,\"a\":\"s\",\"n\":null,\"o\":{\"x\":1.5}}"
+        );
     }
 
     #[test]
