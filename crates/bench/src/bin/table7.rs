@@ -6,8 +6,8 @@ use cpgan_eval::{pipelines::efficiency, sweep_sizes_from_args, EvalConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = EvalConfig::from_args(&args);
-    let sizes = sweep_sizes_from_args(&args);
+    let cfg = EvalConfig::from_args(&args).unwrap_or_else(|e| bench::usage_error(&e));
+    let sizes = sweep_sizes_from_args(&args).unwrap_or_else(|e| bench::usage_error(&e));
     eprintln!("running Table VII over sizes {sizes:?}...");
     let tables = efficiency::run(&cfg, &sizes);
     println!("{}", tables.generation.render());

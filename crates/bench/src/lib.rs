@@ -95,24 +95,9 @@ pub fn write_report(file: &str, meta: &BenchMeta, body: &impl Serialize) -> Resu
     Ok(())
 }
 
-/// The value after the flag `name` in `args`, parsed as `T`.
-///
-/// # Errors
-///
-/// The flag is present but has no value, or its value does not parse.
-/// An absent flag is `Ok(None)`.
-pub fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
-    let Some(at) = args.iter().position(|a| a == name) else {
-        return Ok(None);
-    };
-    let value = args
-        .get(at + 1)
-        .ok_or_else(|| format!("{name} needs a value"))?;
-    value
-        .parse()
-        .map(Some)
-        .map_err(|_| format!("{name}: cannot parse {value:?}"))
-}
+/// The value after a flag, refusing a missing or malformed one; shared
+/// with the `table*`/`fig*`/`sweep` binaries' [`cpgan_eval::EvalConfig`].
+pub use cpgan_eval::flag;
 
 /// Prints `msg` as a usage error and exits with status 2.
 pub fn usage_error(msg: &str) -> ! {

@@ -30,100 +30,100 @@ pub struct DatasetSpec {
     spatial: bool,
 }
 
-/// All six datasets with their Table II statistics.
-pub const PAPER_DATASETS: [DatasetSpec; 6] = [
-    DatasetSpec {
-        name: "Citeseer",
-        n: 3327,
-        m: 4732,
-        communities: 473,
-        mean_degree: 2.8446,
-        cpl: 5.9389,
-        gini: 0.6769,
-        pwe: 2.8757,
-        mixing: 0.2,
-        spatial: false,
-    },
-    DatasetSpec {
-        name: "PubMed",
-        n: 19717,
-        m: 44338,
-        communities: 2488,
-        mean_degree: 4.4974,
-        cpl: 6.3369,
-        gini: 0.8844,
-        pwe: 1.4743,
-        mixing: 0.2,
-        spatial: false,
-    },
-    DatasetSpec {
-        name: "PPI",
-        n: 2361,
-        m: 6646,
-        communities: 371,
-        mean_degree: 5.8196,
-        cpl: 4.3762,
-        gini: 0.7432,
-        pwe: 1.9029,
-        mixing: 0.25,
-        spatial: false,
-    },
-    DatasetSpec {
-        name: "3D Point Cloud",
-        n: 5037,
-        m: 10886,
-        communities: 1577,
-        mean_degree: 4.3224,
-        cpl: 32.40,
-        gini: 0.8278,
-        pwe: 1.9276,
-        mixing: 0.0,
-        spatial: true,
-    },
-    DatasetSpec {
-        name: "Facebook",
-        n: 50515,
-        m: 819090,
-        communities: 8010,
-        mean_degree: 32.43,
-        cpl: 14.41,
-        gini: 0.7164,
-        pwe: 1.5033,
-        mixing: 0.15,
-        spatial: false,
-    },
-    DatasetSpec {
-        name: "Google",
-        n: 875713,
-        m: 4322051,
-        communities: 9863,
-        mean_degree: 9.871,
-        cpl: 6.3780,
-        gini: 0.6729,
-        pwe: 1.8251,
-        mixing: 0.15,
-        spatial: false,
-    },
-];
+/// Citeseer, Table II.
+pub const CITESEER: DatasetSpec = DatasetSpec {
+    name: "Citeseer",
+    n: 3327,
+    m: 4732,
+    communities: 473,
+    mean_degree: 2.8446,
+    cpl: 5.9389,
+    gini: 0.6769,
+    pwe: 2.8757,
+    mixing: 0.2,
+    spatial: false,
+};
+
+/// PubMed, Table II.
+pub const PUBMED: DatasetSpec = DatasetSpec {
+    name: "PubMed",
+    n: 19717,
+    m: 44338,
+    communities: 2488,
+    mean_degree: 4.4974,
+    cpl: 6.3369,
+    gini: 0.8844,
+    pwe: 1.4743,
+    mixing: 0.2,
+    spatial: false,
+};
+
+/// PPI, Table II.
+pub const PPI: DatasetSpec = DatasetSpec {
+    name: "PPI",
+    n: 2361,
+    m: 6646,
+    communities: 371,
+    mean_degree: 5.8196,
+    cpl: 4.3762,
+    gini: 0.7432,
+    pwe: 1.9029,
+    mixing: 0.25,
+    spatial: false,
+};
+
+/// 3D Point Cloud, Table II.
+pub const POINT_CLOUD: DatasetSpec = DatasetSpec {
+    name: "3D Point Cloud",
+    n: 5037,
+    m: 10886,
+    communities: 1577,
+    mean_degree: 4.3224,
+    cpl: 32.40,
+    gini: 0.8278,
+    pwe: 1.9276,
+    mixing: 0.0,
+    spatial: true,
+};
+
+/// Facebook, Table II.
+pub const FACEBOOK: DatasetSpec = DatasetSpec {
+    name: "Facebook",
+    n: 50515,
+    m: 819090,
+    communities: 8010,
+    mean_degree: 32.43,
+    cpl: 14.41,
+    gini: 0.7164,
+    pwe: 1.5033,
+    mixing: 0.15,
+    spatial: false,
+};
+
+/// Google, Table II.
+pub const GOOGLE: DatasetSpec = DatasetSpec {
+    name: "Google",
+    n: 875713,
+    m: 4322051,
+    communities: 9863,
+    mean_degree: 9.871,
+    cpl: 6.3780,
+    gini: 0.6729,
+    pwe: 1.8251,
+    mixing: 0.15,
+    spatial: false,
+};
+
+/// All six datasets with their Table II statistics, in the paper's order.
+pub const PAPER_DATASETS: [DatasetSpec; 6] = [CITESEER, PUBMED, PPI, POINT_CLOUD, FACEBOOK, GOOGLE];
 
 /// A synthesized dataset instance.
 #[derive(Debug, Clone)]
 pub struct Dataset {
-    /// Which paper dataset this stands in for.
-    pub spec: DatasetSpec,
     /// The graph, at `1/scale` of the paper's size.
     pub graph: Graph,
     /// Ground-truth community label per node (from the synthesizer).
     pub labels: Vec<usize>,
-    /// The divisor applied to the paper's node/edge/community counts.
-    pub scale: usize,
-}
-
-/// Looks up a spec by (case-insensitive) name.
-pub fn spec_by_name(name: &str) -> Option<&'static DatasetSpec> {
-    PAPER_DATASETS
-        .iter()
-        .find(|s| s.name.eq_ignore_ascii_case(name))
 }
 
 /// Synthesizes a dataset at `1/scale` of the paper's size (`scale = 1` is
@@ -158,20 +158,7 @@ pub fn synthesize(spec: &DatasetSpec, scale: usize, seed: u64) -> Dataset {
         });
         (pg.graph, pg.labels)
     };
-    Dataset {
-        spec: *spec,
-        graph,
-        labels,
-        scale,
-    }
-}
-
-/// Synthesizes all six datasets at the given scale.
-pub fn synthesize_all(scale: usize, seed: u64) -> Vec<Dataset> {
-    PAPER_DATASETS
-        .iter()
-        .map(|s| synthesize(s, scale, seed))
-        .collect()
+    Dataset { graph, labels }
 }
 
 #[cfg(test)]
@@ -192,8 +179,8 @@ mod tests {
 
     #[test]
     fn citeseer_standin_matches_key_stats() {
-        let spec = spec_by_name("citeseer").unwrap();
-        let ds = synthesize(spec, 4, 7);
+        let spec = CITESEER;
+        let ds = synthesize(&spec, 4, 7);
         let mean = ds.graph.mean_degree();
         // Mean degree within 30% of the paper's value.
         assert!(
@@ -205,12 +192,11 @@ mod tests {
 
     #[test]
     fn standins_have_detectable_communities() {
-        for name in ["Citeseer", "PPI"] {
-            let spec = spec_by_name(name).unwrap();
-            let ds = synthesize(spec, 8, 3);
+        for spec in [CITESEER, PPI] {
+            let ds = synthesize(&spec, 8, 3);
             let det = louvain::louvain(&ds.graph, 0);
             let nmi = metrics::nmi(det.labels(), &ds.labels);
-            assert!(nmi > 0.4, "{name}: nmi {nmi}");
+            assert!(nmi > 0.4, "{}: nmi {nmi}", spec.name);
         }
     }
 
@@ -218,8 +204,8 @@ mod tests {
     fn pubmed_more_unequal_than_citeseer() {
         // Paper: PubMed Gini 0.88 >> Citeseer 0.68. The stand-ins must
         // preserve the ordering.
-        let cs = synthesize(spec_by_name("Citeseer").unwrap(), 8, 5);
-        let pm = synthesize(spec_by_name("PubMed").unwrap(), 8, 5);
+        let cs = synthesize(&CITESEER, 8, 5);
+        let pm = synthesize(&PUBMED, 8, 5);
         let g_cs = stats::gini::gini_coefficient(&cs.graph.degrees());
         let g_pm = stats::gini::gini_coefficient(&pm.graph.degrees());
         assert!(g_pm > g_cs, "gini ordering violated: {g_pm} vs {g_cs}");
@@ -227,8 +213,8 @@ mod tests {
 
     #[test]
     fn point_cloud_high_cpl_signature() {
-        let pc = synthesize(spec_by_name("3D Point Cloud").unwrap(), 8, 2);
-        let cs = synthesize(spec_by_name("Citeseer").unwrap(), 8, 2);
+        let pc = synthesize(&POINT_CLOUD, 8, 2);
+        let cs = synthesize(&CITESEER, 8, 2);
         let cpl_pc = stats::path::characteristic_path_length(&pc.graph, 50);
         let cpl_cs = stats::path::characteristic_path_length(&cs.graph, 50);
         assert!(cpl_pc > cpl_cs, "spatial CPL {cpl_pc} <= citation {cpl_cs}");
@@ -236,9 +222,8 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let spec = spec_by_name("PPI").unwrap();
-        let a = synthesize(spec, 8, 9);
-        let b = synthesize(spec, 8, 9);
+        let a = synthesize(&PPI, 8, 9);
+        let b = synthesize(&PPI, 8, 9);
         assert_eq!(a.graph, b.graph);
     }
 }

@@ -32,7 +32,7 @@
 //! bound was chosen.
 
 use crate::{DatasetError, Format};
-use cpgan_data::datasets::{DatasetSpec, PAPER_DATASETS};
+use cpgan_data::datasets::{self, DatasetSpec, PAPER_DATASETS};
 use std::sync::OnceLock;
 
 /// Reference summary statistics for one dataset: published values for
@@ -218,15 +218,7 @@ fn build() -> Vec<DatasetEntry> {
             data: DataProvenance::Upstream,
             license: "linqs.org CiteSeer collection — free for research use",
             home: "https://linqs.org/datasets/",
-            // Paper Table II row.
-            reference: ReferenceStats {
-                n: 3327,
-                m: 4732,
-                mean_degree: 2.8446,
-                gini: 0.6769,
-                pwe: 2.8757,
-                cpl: Some(5.9389),
-            },
+            reference: table2(&datasets::CITESEER),
             tol: Tolerances {
                 m_rel: 0.0,
                 mean_degree: 0.01,
@@ -321,15 +313,7 @@ fn build() -> Vec<DatasetEntry> {
             data: DataProvenance::Upstream,
             license: "SNAP web-Google — released for the 2002 Google programming contest",
             home: "https://snap.stanford.edu/data/web-Google.html",
-            // Paper Table II row.
-            reference: ReferenceStats {
-                n: 875713,
-                m: 4322051,
-                mean_degree: 9.871,
-                gini: 0.6729,
-                pwe: 1.8251,
-                cpl: Some(6.3780),
-            },
+            reference: table2(&datasets::GOOGLE),
             tol: Tolerances {
                 m_rel: 0.02,
                 mean_degree: 0.2,
@@ -354,15 +338,7 @@ fn build() -> Vec<DatasetEntry> {
             data: DataProvenance::Upstream,
             license: "linqs.org Pubmed-Diabetes collection — free for research use",
             home: "https://linqs.org/datasets/",
-            // Paper Table II row.
-            reference: ReferenceStats {
-                n: 19717,
-                m: 44338,
-                mean_degree: 4.4974,
-                gini: 0.8844,
-                pwe: 1.4743,
-                cpl: Some(6.3369),
-            },
+            reference: table2(&datasets::PUBMED),
             tol: Tolerances {
                 m_rel: 0.02,
                 mean_degree: 0.2,
@@ -446,14 +422,7 @@ fn build() -> Vec<DatasetEntry> {
             data: DataProvenance::Synthesized,
             license: "synthesized in-repo (no external data)",
             home: "crates/data/src/datasets.rs",
-            reference: ReferenceStats {
-                n: spec.n,
-                m: spec.m,
-                mean_degree: spec.mean_degree,
-                gini: spec.gini,
-                pwe: spec.pwe,
-                cpl: Some(spec.cpl),
-            },
+            reference: table2(spec),
             // Stand-in fidelity bounds: the synthesizer pins sizes and the
             // tail *ordering*, not each scalar — see DESIGN.md §15.
             tol: Tolerances {
@@ -467,6 +436,19 @@ fn build() -> Vec<DatasetEntry> {
         });
     }
     entries
+}
+
+/// The paper's Table II row for `spec`: the reference of the upstream
+/// entry and of the `-synthetic` stand-in alike, so Table II is typed once.
+fn table2(spec: &DatasetSpec) -> ReferenceStats {
+    ReferenceStats {
+        n: spec.n,
+        m: spec.m,
+        mean_degree: spec.mean_degree,
+        gini: spec.gini,
+        pwe: spec.pwe,
+        cpl: Some(spec.cpl),
+    }
 }
 
 /// Recorded 512-source CPL of the cora surrogate fixture.
@@ -507,12 +489,20 @@ mod tests {
 
     #[test]
     fn every_paper_dataset_has_a_synthetic_entry() {
+        let mut upstreams = 0;
         for spec in &PAPER_DATASETS {
             let name = format!("{}-synthetic", slug(spec.name));
             let e = resolve(&name).unwrap();
             assert_eq!(e.reference.n, spec.n);
             assert!(e.title.starts_with(spec.name));
+            // An upstream entry of the same dataset carries the same
+            // Table II row.
+            if let Ok(upstream) = resolve(&slug(spec.name)) {
+                assert_eq!(upstream.reference, e.reference, "{}", upstream.name);
+                upstreams += 1;
+            }
         }
+        assert_eq!(upstreams, 3, "citeseer, pubmed and google");
     }
 
     #[test]

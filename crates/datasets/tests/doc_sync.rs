@@ -98,7 +98,7 @@ fn design_section_carries_the_tolerance_table() {
 #[test]
 fn cli_usage_points_at_the_section() {
     let s = section_15();
-    for cmd in ["cpgan data list", "table_real"] {
+    for cmd in ["cpgan data list", "table3 -- citeseer-fixture"] {
         assert!(s.contains(cmd), "§15 must name the `{cmd}` entry point");
     }
 }

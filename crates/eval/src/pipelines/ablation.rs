@@ -1,16 +1,17 @@
 //! Table VI: ablation of CPGAN's sub-modules.
 
-use crate::pipelines::{community_scores, quality_diff};
+use crate::pipelines::{community_scores, load_all, quality_diff};
 use crate::registry::{fit_model, ModelKind};
 use crate::report::Table;
 use crate::{paper, EvalConfig};
 use cpgan::Variant;
-use cpgan_data::datasets;
+use cpgan_datasets::{DatasetEntry, DatasetError, LoadOptions};
+use cpgan_graph::Graph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Table VI's datasets.
-pub const TABLE6_DATASETS: [&str; 3] = ["PubMed", "PPI", "Facebook"];
+/// Table VI's default datasets.
+pub const DATASETS: [&str; 3] = ["pubmed-synthetic", "ppi-synthetic", "facebook-synthetic"];
 
 /// The ablation variants in paper row order.
 pub fn variants() -> Vec<Variant> {
@@ -35,13 +36,9 @@ pub struct AblationResult {
     pub clus: f64,
 }
 
-/// Evaluates one variant on one dataset, averaged over `cfg.seeds` runs.
-pub fn evaluate(
-    variant: Variant,
-    spec: &datasets::DatasetSpec,
-    cfg: &EvalConfig,
-) -> AblationResult {
-    let ds = datasets::synthesize(spec, cfg.scale, cfg.seed);
+/// Evaluates one variant on one observed graph, averaged over
+/// `cfg.seeds` runs.
+pub fn evaluate(variant: Variant, observed: &Graph, cfg: &EvalConfig) -> AblationResult {
     let mut acc = AblationResult {
         nmi: 0.0,
         ari: 0.0,
@@ -51,11 +48,11 @@ pub fn evaluate(
     let runs = cfg.seeds.max(1);
     for s in 0..runs {
         let seed = cfg.seed.wrapping_add(s as u64 * 7919);
-        let model = fit_model(ModelKind::CpGan(variant), &ds.graph, cfg, seed);
+        let model = fit_model(ModelKind::CpGan(variant), observed, cfg, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x6666);
         let generated = model.generate(&mut rng);
-        let (nmi, ari) = community_scores(&ds.graph, &generated, cfg.seed);
-        let q = quality_diff(&ds.graph, &generated, 64);
+        let (nmi, ari) = community_scores(observed, &generated, cfg.seed);
+        let q = quality_diff(observed, &generated, 64);
         acc.nmi += 100.0 * nmi;
         acc.ari += 100.0 * ari;
         acc.deg += q.deg;
@@ -70,30 +67,31 @@ pub fn evaluate(
     }
 }
 
-/// Runs the full Table VI experiment.
-pub fn run(cfg: &EvalConfig, dataset_filter: &[&str]) -> Table {
-    let datasets_used: Vec<&str> = TABLE6_DATASETS
-        .iter()
-        .copied()
-        .filter(|d| dataset_filter.is_empty() || dataset_filter.contains(d))
-        .collect();
+/// Runs the Table VI experiment, four columns per registry entry.
+///
+/// # Errors
+///
+/// An entry that fails to load.
+pub fn run(
+    cfg: &EvalConfig,
+    entries: &[&DatasetEntry],
+    opts: &LoadOptions,
+) -> Result<Table, DatasetError> {
+    let datasets = load_all(entries, cfg, opts)?;
     let mut table = Table::new(
         format!("Table VI: CPGAN ablation (scale 1/{})", cfg.scale),
         &["Variant"],
     );
-    for d in &datasets_used {
+    for ds in &datasets {
         for metric in ["NMI", "ARI", "Deg.", "Clus."] {
-            table.headers.push(format!("{d} {metric}"));
+            table.headers.push(format!("{} {metric}", ds.label));
         }
     }
     for variant in variants() {
         let mut row = vec![variant.label().to_string()];
-        for d in &datasets_used {
-            let Some(spec) = datasets::spec_by_name(d) else {
-                continue;
-            };
-            let r = evaluate(variant, spec, cfg);
-            let paper_row = paper::table6_ref(d, variant.label());
+        for ds in &datasets {
+            let r = evaluate(variant, &ds.graph, cfg);
+            let paper_row = paper::table6_ref(&ds.label, variant.label());
             let vals = [r.nmi, r.ari, r.deg, r.clus];
             for (i, v) in vals.iter().enumerate() {
                 match paper_row {
@@ -105,7 +103,7 @@ pub fn run(cfg: &EvalConfig, dataset_filter: &[&str]) -> Table {
         table.push_row(row);
     }
     table.push_note("expected ordering: CPGAN > CPGAN-C > CPGAN-noV > CPGAN-noH on NMI/ARI");
-    table
+    Ok(table)
 }
 
 #[cfg(test)]
@@ -119,9 +117,11 @@ mod tests {
             cpgan_epochs: 8,
             ..EvalConfig::fast()
         };
-        let spec = datasets::spec_by_name("PPI").unwrap();
+        let entry = cpgan_datasets::resolve("ppi-synthetic").unwrap();
+        let ppi =
+            crate::pipelines::EvalDataset::load(entry, &cfg, &LoadOptions::default()).unwrap();
         for v in variants() {
-            let r = evaluate(v, spec, &cfg);
+            let r = evaluate(v, &ppi.graph, &cfg);
             assert!(r.nmi.is_finite());
             assert!(r.deg.is_finite() && r.deg >= 0.0);
         }

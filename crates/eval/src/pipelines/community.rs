@@ -1,10 +1,10 @@
 //! Table III: community-structure preservation (NMI / ARI).
 
-use crate::pipelines::community_scores;
+use crate::pipelines::{community_scores, load_all, note_file_backed, EvalDataset};
 use crate::registry::{fit_model, ModelKind};
 use crate::report::{mean_std, Table};
 use crate::{budget, paper, EvalConfig};
-use cpgan_data::datasets;
+use cpgan_datasets::{DatasetEntry, DatasetError, LoadOptions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -19,9 +19,27 @@ pub enum Cell {
     SkippedCpu,
 }
 
-/// Runs the Table III experiment for the given dataset names (empty = all
-/// six).
-pub fn run(cfg: &EvalConfig, dataset_filter: &[&str]) -> Table {
+/// Table III's default columns: the six Table II stand-ins.
+pub const DATASETS: [&str; 6] = [
+    "citeseer-synthetic",
+    "pubmed-synthetic",
+    "ppi-synthetic",
+    "3d-point-cloud-synthetic",
+    "facebook-synthetic",
+    "google-synthetic",
+];
+
+/// Runs the Table III experiment, one column pair per registry entry.
+///
+/// # Errors
+///
+/// An entry that fails to load.
+pub fn run(
+    cfg: &EvalConfig,
+    entries: &[&DatasetEntry],
+    opts: &LoadOptions,
+) -> Result<Table, DatasetError> {
+    let datasets = load_all(entries, cfg, opts)?;
     let mut table = Table::new(
         format!(
             "Table III: community preservation, NMI/ARI x100 (scale 1/{}, {} seed(s))",
@@ -29,21 +47,18 @@ pub fn run(cfg: &EvalConfig, dataset_filter: &[&str]) -> Table {
         ),
         &["Model"],
     );
-    let specs: Vec<_> = datasets::PAPER_DATASETS
-        .iter()
-        .filter(|s| dataset_filter.is_empty() || dataset_filter.contains(&s.name))
-        .collect();
-    for spec in &specs {
-        table.headers.push(format!("{} NMI", spec.name));
-        table.headers.push(format!("{} ARI", spec.name));
+    for ds in &datasets {
+        table.headers.push(format!("{} NMI", ds.label));
+        table.headers.push(format!("{} ARI", ds.label));
     }
 
     let models = ModelKind::table3();
     for kind in &models {
         let mut row = vec![kind.name().to_string()];
-        for spec in &specs {
-            let cell = evaluate_cell(*kind, spec, cfg);
-            let paper_ref = paper::table3_ref(spec.name, kind.name());
+        for ds in &datasets {
+            let cell = evaluate_cell(*kind, ds, cfg);
+            let paper_ref = paper::table3_ref(&ds.label, kind.name());
+            let in_paper = paper::TABLE3.iter().any(|r| r.0 == ds.label);
             match cell {
                 Cell::Oom | Cell::SkippedCpu => {
                     let label = if matches!(cell, Cell::Oom) {
@@ -51,7 +66,7 @@ pub fn run(cfg: &EvalConfig, dataset_filter: &[&str]) -> Table {
                     } else {
                         "skip"
                     };
-                    let agree = if paper_ref.is_none() {
+                    let agree = if in_paper && paper_ref.is_none() {
                         " (paper OOM)"
                     } else {
                         ""
@@ -71,21 +86,23 @@ pub fn run(cfg: &EvalConfig, dataset_filter: &[&str]) -> Table {
         }
         table.push_row(row);
     }
-    table.push_note(
-        "OOM = the paper-scale run exceeds the simulated 24 GB GPU budget \
-         (see cpgan_eval::budget); measured values are on the scaled stand-ins.",
-    );
-    table
+    if datasets.iter().any(|ds| !ds.file_backed) {
+        table.push_note(
+            "OOM = the paper-scale run exceeds the simulated 24 GB GPU budget \
+             (see cpgan_eval::budget); measured values are on the scaled stand-ins.",
+        );
+    }
+    note_file_backed(&mut table, &datasets);
+    Ok(table)
 }
 
 /// Evaluates one (model, dataset) cell.
-pub fn evaluate_cell(kind: ModelKind, spec: &datasets::DatasetSpec, cfg: &EvalConfig) -> Cell {
+pub fn evaluate_cell(kind: ModelKind, ds: &EvalDataset, cfg: &EvalConfig) -> Cell {
     let _span = cpgan_obs::span("eval.community.cell");
     cpgan_obs::counter_add("eval.community.cells", 1);
-    if budget::would_oom(kind, spec.n) {
+    if budget::would_oom(kind, ds.paper_n) {
         return Cell::Oom;
     }
-    let ds = datasets::synthesize(spec, cfg.scale, cfg.seed);
     if kind.is_dense() && ds.graph.n() > cfg.dense_node_cap {
         return Cell::SkippedCpu;
     }
@@ -106,23 +123,51 @@ pub fn evaluate_cell(kind: ModelKind, spec: &datasets::DatasetSpec, cfg: &EvalCo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cpgan_graph::Graph;
+    use std::sync::Arc;
+
+    /// `name`'s paper-scale size on a stand-in graph of two nodes: enough
+    /// for the OOM budget, which is decided before any fit.
+    fn paper_sized(name: &str) -> EvalDataset {
+        let entry = cpgan_datasets::resolve(name).unwrap();
+        EvalDataset {
+            label: entry.title.clone(),
+            paper_n: entry.reference.n,
+            file_backed: false,
+            graph: Arc::new(Graph::from_edges(2, [(0, 1)]).unwrap()),
+        }
+    }
 
     #[test]
     fn oom_cells_match_paper() {
         let cfg = EvalConfig::fast();
-        let pubmed = datasets::spec_by_name("PubMed").unwrap();
+        let pubmed = paper_sized("pubmed-synthetic");
         assert!(matches!(
-            evaluate_cell(ModelKind::Mmsb, pubmed, &cfg),
+            evaluate_cell(ModelKind::Mmsb, &pubmed, &cfg),
             Cell::Oom
         ));
         assert!(matches!(
-            evaluate_cell(ModelKind::NetGan, pubmed, &cfg),
+            evaluate_cell(ModelKind::NetGan, &pubmed, &cfg),
             Cell::Oom
         ));
-        let google = datasets::spec_by_name("Google").unwrap();
+        let google = paper_sized("google-synthetic");
         assert!(matches!(
-            evaluate_cell(ModelKind::Vgae, google, &cfg),
+            evaluate_cell(ModelKind::Vgae, &google, &cfg),
             Cell::Oom
+        ));
+    }
+
+    #[test]
+    fn dense_models_skip_above_the_cap() {
+        let cfg = EvalConfig {
+            dense_node_cap: 8,
+            ..EvalConfig::fast()
+        };
+        let mut ds = paper_sized("citeseer-fixture");
+        ds.graph = Arc::new(Graph::from_edges(30, (0..29u32).map(|v| (v, v + 1))).unwrap());
+        assert!(matches!(
+            evaluate_cell(ModelKind::Vgae, &ds, &cfg),
+            Cell::SkippedCpu
         ));
     }
 
@@ -135,8 +180,10 @@ mod tests {
             cpgan_epochs: 3,
             ..EvalConfig::fast()
         };
-        let ppi = datasets::spec_by_name("PPI").unwrap();
-        match evaluate_cell(ModelKind::Sbm, ppi, &cfg) {
+        let entry = cpgan_datasets::resolve("ppi-synthetic").unwrap();
+        let ppi = EvalDataset::load(entry, &cfg, &LoadOptions::default()).unwrap();
+        assert_eq!(ppi.label, "PPI");
+        match evaluate_cell(ModelKind::Sbm, &ppi, &cfg) {
             Cell::Measured(nmis, aris) => {
                 assert_eq!(nmis.len(), 1);
                 assert!((0.0..=100.0).contains(&nmis[0]));

@@ -1,18 +1,22 @@
 //! Table IV: generative distribution distance (Deg/Clus/CPL/GINI/PWE).
 
-use crate::pipelines::{quality_diff, QualityDiff};
+use crate::pipelines::{load_all, note_file_backed, quality_diff, EvalDataset, QualityDiff};
 use crate::registry::{fit_model, ModelKind};
 use crate::report::{mean, Table};
 use crate::{budget, paper, EvalConfig};
-use cpgan_data::datasets;
+use cpgan_datasets::{DatasetEntry, DatasetError, LoadOptions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// BFS-source cap for CPL estimates (deterministic evenly spaced sample).
 const CPL_SOURCES: usize = 64;
 
-/// Table IV's dataset columns.
-pub const TABLE4_DATASETS: [&str; 3] = ["Citeseer", "3D Point Cloud", "Google"];
+/// Table IV's default columns.
+pub const DATASETS: [&str; 3] = [
+    "citeseer-synthetic",
+    "3d-point-cloud-synthetic",
+    "google-synthetic",
+];
 
 /// One measured cell.
 #[derive(Debug, Clone)]
@@ -26,13 +30,12 @@ pub enum Cell {
 }
 
 /// Evaluates one (model, dataset) cell.
-pub fn evaluate_cell(kind: ModelKind, spec: &datasets::DatasetSpec, cfg: &EvalConfig) -> Cell {
+pub fn evaluate_cell(kind: ModelKind, ds: &EvalDataset, cfg: &EvalConfig) -> Cell {
     let _span = cpgan_obs::span("eval.quality.cell");
     cpgan_obs::counter_add("eval.quality.cells", 1);
-    if budget::would_oom(kind, spec.n) {
+    if budget::would_oom(kind, ds.paper_n) {
         return Cell::Oom;
     }
-    let ds = datasets::synthesize(spec, cfg.scale, cfg.seed);
     if kind.is_dense() && ds.graph.n() > cfg.dense_node_cap {
         return Cell::SkippedCpu;
     }
@@ -46,7 +49,7 @@ pub fn evaluate_cell(kind: ModelKind, spec: &datasets::DatasetSpec, cfg: &EvalCo
     let seeds: Vec<u64> = (0..cfg.seeds)
         .map(|s| cfg.seed.wrapping_add(s as u64 * 104_729))
         .collect();
-    let graph = std::sync::Arc::new(ds.graph);
+    let graph = std::sync::Arc::clone(&ds.graph);
     let cfg_owned = cfg.clone();
     let acc: Vec<QualityDiff> =
         cpgan_parallel::Pool::global().par_map_owned(seeds, move |_, seed| {
@@ -68,13 +71,17 @@ pub fn evaluate_cell(kind: ModelKind, spec: &datasets::DatasetSpec, cfg: &EvalCo
     })
 }
 
-/// Runs the full Table IV experiment.
-pub fn run(cfg: &EvalConfig, dataset_filter: &[&str]) -> Table {
-    let datasets_used: Vec<&str> = TABLE4_DATASETS
-        .iter()
-        .copied()
-        .filter(|d| dataset_filter.is_empty() || dataset_filter.contains(d))
-        .collect();
+/// Runs the Table IV experiment, five columns per registry entry.
+///
+/// # Errors
+///
+/// An entry that fails to load.
+pub fn run(
+    cfg: &EvalConfig,
+    entries: &[&DatasetEntry],
+    opts: &LoadOptions,
+) -> Result<Table, DatasetError> {
+    let datasets = load_all(entries, cfg, opts)?;
     let mut table = Table::new(
         format!(
             "Table IV: generation quality, |difference| vs observed (scale 1/{}, lower better)",
@@ -82,19 +89,16 @@ pub fn run(cfg: &EvalConfig, dataset_filter: &[&str]) -> Table {
         ),
         &["Model"],
     );
-    for d in &datasets_used {
+    for ds in &datasets {
         for metric in ["Deg.", "Clus.", "CPL", "GINI", "PWE"] {
-            table.headers.push(format!("{d} {metric}"));
+            table.headers.push(format!("{} {metric}", ds.label));
         }
     }
     for kind in ModelKind::table4() {
         let mut row = vec![kind.name().to_string()];
-        for d in &datasets_used {
-            let Some(spec) = datasets::spec_by_name(d) else {
-                continue;
-            };
-            let cell = evaluate_cell(kind, spec, cfg);
-            let paper_row = paper::table4_ref(d, kind.name());
+        for ds in &datasets {
+            let cell = evaluate_cell(kind, ds, cfg);
+            let paper_row = paper::table4_ref(&ds.label, kind.name());
             match cell {
                 Cell::Oom | Cell::SkippedCpu => {
                     let label = if matches!(cell, Cell::Oom) {
@@ -119,8 +123,14 @@ pub fn run(cfg: &EvalConfig, dataset_filter: &[&str]) -> Table {
         }
         table.push_row(row);
     }
-    table.push_note("parenthesized values are the paper's Table IV entries");
-    table
+    if datasets
+        .iter()
+        .any(|ds| paper::TABLE4.iter().any(|r| r.0 == ds.label))
+    {
+        table.push_note("parenthesized values are the paper's Table IV entries");
+    }
+    note_file_backed(&mut table, &datasets);
+    Ok(table)
 }
 
 #[cfg(test)]
@@ -134,8 +144,9 @@ mod tests {
             seeds: 1,
             ..EvalConfig::fast()
         };
-        let spec = datasets::spec_by_name("Citeseer").unwrap();
-        match evaluate_cell(ModelKind::Bter, spec, &cfg) {
+        let entry = cpgan_datasets::resolve("citeseer-synthetic").unwrap();
+        let ds = EvalDataset::load(entry, &cfg, &LoadOptions::default()).unwrap();
+        match evaluate_cell(ModelKind::Bter, &ds, &cfg) {
             Cell::Measured(q) => {
                 assert!(q.deg.is_finite() && q.deg >= 0.0);
                 assert!(q.cpl.is_finite());
@@ -147,13 +158,23 @@ mod tests {
     #[test]
     fn google_dense_models_oom() {
         let cfg = EvalConfig::fast();
-        let spec = datasets::spec_by_name("Google").unwrap();
+        // The budget reads the paper-scale size before any fit, so a
+        // two-node graph stands in for the loaded stand-in.
+        let ds = EvalDataset {
+            label: "Google".into(),
+            paper_n: cpgan_datasets::resolve("google-synthetic")
+                .unwrap()
+                .reference
+                .n,
+            file_backed: false,
+            graph: std::sync::Arc::new(cpgan_graph::Graph::from_edges(2, [(0, 1)]).unwrap()),
+        };
         assert!(matches!(
-            evaluate_cell(ModelKind::Vgae, spec, &cfg),
+            evaluate_cell(ModelKind::Vgae, &ds, &cfg),
             Cell::Oom
         ));
         assert!(matches!(
-            evaluate_cell(ModelKind::GraphRnnS, spec, &cfg),
+            evaluate_cell(ModelKind::GraphRnnS, &ds, &cfg),
             Cell::Oom
         ));
     }

@@ -1,11 +1,11 @@
 //! Table V: graph reconstruction with an 80/20 edge split.
 
-use crate::pipelines::quality_diff;
+use crate::pipelines::{load_all, quality_diff};
 use crate::registry::{cpgan_config, deep_config, ModelKind};
 use crate::report::Table;
 use crate::{paper, EvalConfig};
 use cpgan::{CpGan, Variant};
-use cpgan_data::datasets;
+use cpgan_datasets::{DatasetEntry, DatasetError, LoadOptions};
 use cpgan_deep::{condgen::CondGenR, graphite::Graphite, sbmgnn::SbmGnn, vgae::Vgae};
 use cpgan_graph::{Graph, GraphBuilder, NodeId};
 use cpgan_nn::Matrix;
@@ -24,8 +24,8 @@ pub fn models() -> Vec<ModelKind> {
     ]
 }
 
-/// Table V's datasets.
-pub const TABLE5_DATASETS: [&str; 2] = ["PPI", "Citeseer"];
+/// Table V's default datasets.
+pub const DATASETS: [&str; 2] = ["ppi-synthetic", "citeseer-synthetic"];
 
 /// One reconstruction measurement.
 #[derive(Debug, Clone, Copy)]
@@ -94,29 +94,28 @@ pub fn reconstruct_probs(kind: ModelKind, train: &Graph, cfg: &EvalConfig, seed:
     }
 }
 
-/// Evaluates one (model, dataset) reconstruction.
-pub fn evaluate(kind: ModelKind, spec: &datasets::DatasetSpec, cfg: &EvalConfig) -> ReconResult {
-    let ds = datasets::synthesize(spec, cfg.scale, cfg.seed);
-    let (train, train_edges, test_edges) = edge_split(&ds.graph, cfg.seed);
+/// Evaluates one (model, observed graph) reconstruction.
+pub fn evaluate(kind: ModelKind, observed: &Graph, cfg: &EvalConfig) -> ReconResult {
+    let (train, train_edges, test_edges) = edge_split(observed, cfg.seed);
     let probs = reconstruct_probs(kind, &train, cfg, cfg.seed);
     // Reconstruct a graph with the *full* edge count, as the paper does
     // ("employ the model to reconstruct the whole graph"). Degree budgets
     // from the training graph (scaled to the full edge count) apply to all
     // models uniformly.
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x55);
-    let scale = ds.graph.m() as f64 / train.m().max(1) as f64;
+    let scale = observed.m() as f64 / train.m().max(1) as f64;
     let budgets: Vec<usize> = train
         .degrees()
         .iter()
         .map(|&d| ((d as f64) * scale).round() as usize)
         .collect();
-    let nodes: Vec<cpgan_graph::NodeId> = (0..ds.graph.n() as cpgan_graph::NodeId).collect();
-    let mut asm = cpgan::assembly::GraphAssembler::new(ds.graph.n(), ds.graph.m())
+    let nodes: Vec<NodeId> = (0..observed.n() as NodeId).collect();
+    let mut asm = cpgan::assembly::GraphAssembler::new(observed.n(), observed.m())
         .with_degree_budgets(budgets);
-    asm.add_subgraph(&nodes, &probs, ds.graph.m(), &mut rng);
+    asm.add_subgraph(&nodes, &probs, observed.m(), &mut rng);
     asm.fill_residual(&mut rng);
     let recon = asm.build();
-    let q = quality_diff(&ds.graph, &recon, 64);
+    let q = quality_diff(observed, &recon, 64);
     ReconResult {
         deg: q.deg,
         clus: q.clus,
@@ -128,8 +127,17 @@ pub fn evaluate(kind: ModelKind, spec: &datasets::DatasetSpec, cfg: &EvalConfig)
     }
 }
 
-/// Runs the full Table V experiment.
-pub fn run(cfg: &EvalConfig) -> Table {
+/// Runs the Table V experiment, seven columns per registry entry.
+///
+/// # Errors
+///
+/// An entry that fails to load.
+pub fn run(
+    cfg: &EvalConfig,
+    entries: &[&DatasetEntry],
+    opts: &LoadOptions,
+) -> Result<Table, DatasetError> {
+    let datasets = load_all(entries, cfg, opts)?;
     let mut table = Table::new(
         format!(
             "Table V: graph reconstruction, 80/20 split (scale 1/{})",
@@ -137,21 +145,18 @@ pub fn run(cfg: &EvalConfig) -> Table {
         ),
         &["Model"],
     );
-    for d in TABLE5_DATASETS {
+    for ds in &datasets {
         for metric in ["Deg.", "Clus.", "CPL", "GINI", "PWE", "TrainNLL", "TestNLL"] {
-            table.headers.push(format!("{d} {metric}"));
+            table.headers.push(format!("{} {metric}", ds.label));
         }
     }
     for kind in models() {
         let mut row = vec![kind.name().to_string()];
-        for d in TABLE5_DATASETS {
-            let Some(spec) = datasets::spec_by_name(d) else {
-                continue;
-            };
-            let r = evaluate(kind, spec, cfg);
+        for ds in &datasets {
+            let r = evaluate(kind, &ds.graph, cfg);
             let vals = [r.deg, r.clus, r.cpl, r.gini, r.pwe, r.train_nll, r.test_nll];
             // The paper prints "CondGen" in Table V for CondGen-R.
-            let paper_row = paper::table5_ref(d, kind.name());
+            let paper_row = paper::table5_ref(&ds.label, kind.name());
             for (i, v) in vals.iter().enumerate() {
                 match paper_row {
                     Some(p) => row.push(format!("{v:.3} ({:.3})", p[i])),
@@ -162,7 +167,7 @@ pub fn run(cfg: &EvalConfig) -> Table {
         table.push_row(row);
     }
     table.push_note("NLL is the mean negative log-likelihood of train/test edges");
-    table
+    Ok(table)
 }
 
 #[cfg(test)]
@@ -188,8 +193,10 @@ mod tests {
             cpgan_epochs: 20,
             ..EvalConfig::fast()
         };
-        let spec = datasets::spec_by_name("PPI").unwrap();
-        let r = evaluate(ModelKind::CpGan(Variant::Full), spec, &cfg);
+        let entry = cpgan_datasets::resolve("ppi-synthetic").unwrap();
+        let ppi =
+            crate::pipelines::EvalDataset::load(entry, &cfg, &LoadOptions::default()).unwrap();
+        let r = evaluate(ModelKind::CpGan(Variant::Full), &ppi.graph, &cfg);
         assert!(r.train_nll.is_finite() && r.train_nll > 0.0);
         assert!(r.test_nll.is_finite() && r.test_nll > 0.0);
         // Train edges should be at least as likely as held-out edges.

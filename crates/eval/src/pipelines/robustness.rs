@@ -5,16 +5,20 @@
 //! comparable baselines — the paper's claim is that CPGAN's spread is the
 //! smallest. Right panel: CPGAN across learning-rate / decay settings.
 
+use crate::pipelines::EvalDataset;
 use crate::registry::{cpgan_config, deep_config, ModelKind};
 use crate::report::Table;
 use crate::EvalConfig;
 use cpgan::{CpGan, Variant};
-use cpgan_data::datasets;
+use cpgan_datasets::{DatasetEntry, DatasetError, LoadOptions};
 use cpgan_deep::{condgen::CondGenR, graphite::Graphite, vgae::Vgae};
 use cpgan_generators::GraphGenerator;
 use cpgan_graph::{mmd, Graph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The dataset Figure 6 runs on by default.
+pub const DATASET: &str = "citeseer-synthetic";
 
 /// Hidden sizes of the left-panel grid.
 pub const HIDDEN_GRID: [usize; 3] = [8, 16, 32];
@@ -123,19 +127,21 @@ pub fn cpgan_training_grid(g: &Graph, cfg: &EvalConfig) -> Vec<(f32, f32, f64)> 
     out
 }
 
-/// Runs the full Figure 6 experiment. Unknown dataset names yield an
-/// empty table rather than a panic.
-pub fn run(cfg: &EvalConfig, dataset: &str) -> Table {
-    let Some(spec) = datasets::spec_by_name(dataset) else {
-        return Table::new(
-            format!("Figure 6: unknown dataset `{dataset}`"),
-            &["Model", "mean", "min", "max", "range"],
-        );
-    };
-    let ds = datasets::synthesize(spec, cfg.scale, cfg.seed);
+/// Runs the full Figure 6 experiment on one registry entry.
+///
+/// # Errors
+///
+/// The entry fails to load.
+pub fn run(
+    cfg: &EvalConfig,
+    entry: &DatasetEntry,
+    opts: &LoadOptions,
+) -> Result<Table, DatasetError> {
+    let ds = EvalDataset::load(entry, cfg, opts)?;
     let mut table = Table::new(
         format!(
-            "Figure 6: hyper-parameter robustness on {dataset} (degree MMD; lower/tighter better)"
+            "Figure 6: hyper-parameter robustness on {} (degree MMD; lower/tighter better)",
+            ds.label
         ),
         &["Model", "mean", "min", "max", "range"],
     );
@@ -169,7 +175,7 @@ pub fn run(cfg: &EvalConfig, dataset: &str) -> Table {
     table.push_note(
         "paper conclusion: CPGAN's spread (range) is the smallest among compared models",
     );
-    table
+    Ok(table)
 }
 
 #[cfg(test)]

@@ -82,26 +82,18 @@ pub fn write_json(table: &Table, path: &std::path::Path) -> std::io::Result<()> 
 }
 
 /// Handles the shared `--json FILE` CLI flag: writes `table` to the given
-/// file if the flag is present. Errors are reported to stderr, not fatal.
-pub fn maybe_write_json(args: &[String], table: &Table) {
-    if let Some(path) = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-    {
-        match write_json(table, std::path::Path::new(path)) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => eprintln!("failed to write {path}: {e}"),
-        }
+/// file if the flag is present.
+///
+/// # Errors
+///
+/// `--json` has no value, or the file cannot be written.
+pub fn maybe_write_json(args: &[String], table: &Table) -> Result<(), String> {
+    if let Some(path) = crate::flag::<String>(args, "--json")? {
+        write_json(table, std::path::Path::new(&path))
+            .map_err(|e| format!("failed to write {path}: {e}"))?;
+        eprintln!("wrote {path}");
     }
-}
-
-/// Formats a measured value with its paper reference, e.g. `0.71 (paper 0.725)`.
-pub fn vs_paper(measured: f64, paper: Option<f64>) -> String {
-    match paper {
-        Some(p) => format!("{measured:.3} (paper {p:.3})"),
-        None => format!("{measured:.3}"),
-    }
+    Ok(())
 }
 
 /// Formats mean ± std over repeated runs.
@@ -159,8 +151,6 @@ mod tests {
 
     #[test]
     fn formatting_helpers() {
-        assert_eq!(vs_paper(0.5, Some(0.725)), "0.500 (paper 0.725)");
-        assert_eq!(vs_paper(0.5, None), "0.500");
         assert_eq!(mean_std(&[]), "-");
         assert_eq!(mean_std(&[2.0]), "2.000");
         assert!(mean_std(&[1.0, 3.0]).starts_with("2.000±1.000"));

@@ -13,7 +13,7 @@
 // panic-policy lints are relaxed (see DESIGN.md).
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::panic)]
 
-use cpgan_data::datasets;
+use cpgan_datasets::LoadOptions;
 use cpgan_eval::pipelines::{community_scores, quality_diff};
 use cpgan_eval::registry::{fit_model, ModelKind};
 use cpgan_eval::EvalConfig;
@@ -28,8 +28,13 @@ fn main() {
         cpgan_epochs: 60,
         ..EvalConfig::default()
     };
-    let spec = datasets::spec_by_name("Citeseer").expect("known dataset");
-    let ds = datasets::synthesize(spec, cfg.scale, cfg.seed);
+    let entry = cpgan_datasets::resolve("citeseer-synthetic").expect("known dataset");
+    let opts = LoadOptions {
+        scale: cfg.scale,
+        seed: cfg.seed,
+        ..LoadOptions::default()
+    };
+    let ds = cpgan_datasets::load(entry, &opts).expect("stand-ins load offline");
     println!(
         "Citeseer stand-in at 1/{} scale: {} nodes, {} edges",
         cfg.scale,

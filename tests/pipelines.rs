@@ -6,7 +6,11 @@
 // failure mode in test code.
 #![allow(clippy::panic, clippy::unwrap_used, clippy::expect_used)]
 
-use cpgan_eval::pipelines::{ablation, community, efficiency, quality, reconstruction};
+use cpgan_datasets::LoadOptions;
+use cpgan_eval::pipelines::{
+    ablation, community, efficiency, quality, reconstruction, resolve_all,
+};
+use cpgan_eval::report::Table;
 use cpgan_eval::EvalConfig;
 
 fn smoke_cfg() -> EvalConfig {
@@ -20,10 +24,21 @@ fn smoke_cfg() -> EvalConfig {
     }
 }
 
+type Pipeline = fn(
+    &EvalConfig,
+    &[&cpgan_datasets::DatasetEntry],
+    &LoadOptions,
+) -> Result<Table, cpgan_datasets::DatasetError>;
+
+/// Runs `pipeline` on the named registry datasets.
+fn run_on(pipeline: Pipeline, names: &[&str]) -> Table {
+    let entries = resolve_all(names).unwrap();
+    pipeline(&smoke_cfg(), &entries, &LoadOptions::default()).unwrap()
+}
+
 #[test]
 fn table3_renders_all_models_and_datasets() {
-    let cfg = smoke_cfg();
-    let table = community::run(&cfg, &["Citeseer", "PPI"]);
+    let table = run_on(community::run, &["citeseer-synthetic", "ppi-synthetic"]);
     // 9 models, 2 datasets x 2 metrics + model column.
     assert_eq!(table.rows.len(), 9);
     assert_eq!(table.headers.len(), 5);
@@ -35,8 +50,7 @@ fn table3_renders_all_models_and_datasets() {
 
 #[test]
 fn table3_facebook_column_has_oom_rows() {
-    let cfg = smoke_cfg();
-    let table = community::run(&cfg, &["Facebook"]);
+    let table = run_on(community::run, &["facebook-synthetic"]);
     let vgae_row = table
         .rows
         .iter()
@@ -58,8 +72,7 @@ fn table3_facebook_column_has_oom_rows() {
 
 #[test]
 fn table4_renders_citeseer() {
-    let cfg = smoke_cfg();
-    let table = quality::run(&cfg, &["Citeseer"]);
+    let table = run_on(quality::run, &["citeseer-synthetic"]);
     assert_eq!(table.rows.len(), 13);
     assert_eq!(table.headers.len(), 6);
     for row in &table.rows {
@@ -69,8 +82,7 @@ fn table4_renders_citeseer() {
 
 #[test]
 fn table5_renders_both_datasets() {
-    let cfg = smoke_cfg();
-    let table = reconstruction::run(&cfg);
+    let table = run_on(reconstruction::run, &reconstruction::DATASETS);
     assert_eq!(table.rows.len(), 5);
     assert_eq!(table.headers.len(), 15);
     let rendered = table.render();
@@ -79,8 +91,7 @@ fn table5_renders_both_datasets() {
 
 #[test]
 fn table6_renders_variants_in_order() {
-    let cfg = smoke_cfg();
-    let table = ablation::run(&cfg, &["PPI"]);
+    let table = run_on(ablation::run, &["ppi-synthetic"]);
     let names: Vec<&str> = table.rows.iter().map(|r| r[0].as_str()).collect();
     assert_eq!(names, vec!["CPGAN-C", "CPGAN-noV", "CPGAN-noH", "CPGAN"]);
 }
